@@ -9,7 +9,7 @@ every projection provably preserves.
 
 from .frequency import DEFAULT_NODES, FrequencyRule, default_rule
 from .pce import (Distribution, PCBasis, QuadratureRule, basis_count,
-                  build_basis, eval_basis, eval_basis_outer, moment_matrix,
+                  build_basis, eval_basis, moment_matrix,
                   monte_carlo_rule, tensor_rule)
 from .systems import (AffineParamSystem, DissipativityCheck,
                       H2DivergenceError, LTISystem, PencilSpectrum, eval_at,

@@ -25,7 +25,9 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--nodes", type=int, default=64,
                    help="frequency nodes for technique i")
     p.add_argument("--quad-nodes", type=int, default=100,
-                   help="parameter samples for technique ii")
+                   help="parameter samples for technique ii; at least the "
+                   "number of chaos basis polynomials m (m = 171 at MSD "
+                   "degree 2), so the default covers degree 1 only")
     p.add_argument("--rmax", type=int, default=30, help="largest reduced order")
     p.add_argument("--beta", type=float, default=None,
                    help="regularization shift (model default when omitted)")

@@ -14,6 +14,13 @@ import scipy.sparse as sp
 from .pce import PCBasis, QuadratureRule, eval_basis, moment_matrix
 from .systems import AffineParamSystem, LTISystem
 
+# A quadrature rule is refused when the smallest eigenvalue of its chaos Gram
+# matrix is at most this fraction of the largest.
+DEFINITENESS_RTOL = 1e-10
+
+# Budget for the intermediates of one chunk of _weighted_kron_sum.
+_CHUNK_BYTES = 8 * 2 ** 20
+
 
 @dataclass(eq=False)
 class GalerkinSystem:
@@ -110,6 +117,25 @@ def assemble_output(aps: AffineParamSystem, basis: PCBasis):
     return _assemble_square(aps.C0, aps.C_parts, Gs, basis.m)
 
 
+def _weighted_kron_sum(S, wS, X):
+    """Dense sum_k (wS_k S_k^T) (x) X_k over the nodes, in block-row chunks.
+
+    Block rows I of the (m, n, m, n) view are one GEMM over the nodes:
+    S^T (wS[:, I] (x) X), whose [j, i, a, b] layout is transposed into
+    place.  A chunk's two intermediates stay within _CHUNK_BYTES.
+    """
+    k, m = S.shape
+    n = X.shape[1]
+    out = np.empty((m, n, m, n))
+    X_flat = X.reshape(k, 1, n * n)
+    rows = max(1, _CHUNK_BYTES // (8 * (k + m) * n * n))
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        Y = (wS[:, lo:hi, None] * X_flat).reshape(k, -1)
+        out[lo:hi] = (S.T @ Y).reshape(m, hi - lo, n, n).transpose(1, 2, 0, 3)
+    return out.reshape(m * n, m * n)
+
+
 def assemble_via_quadrature(matrix_fn, basis: PCBasis, rule: QuadratureRule,
                             C=None, provenance: str = "quadrature") -> GalerkinSystem:
     """Projection of a general parameter dependence by numerical integration.
@@ -117,41 +143,50 @@ def assemble_via_quadrature(matrix_fn, basis: PCBasis, rule: QuadratureRule,
     matrix_fn maps a parameter vector to a tuple (A, B, E) of dense arrays.
     The projected blocks are weighted sums of S(mu_k) (x) A(mu_k) and
     s(mu_k) (x) B(mu_k) over the nodes; with positive weights this preserves
-    definiteness properties that hold at every node.  C, if given, is
-    attached unchanged (the output matrix of an untransformed family projects
-    exactly, so callers pass the exact block matrix).
+    definiteness properties that hold at every node, provided the chaos Gram
+    matrix sum_k w_k s(mu_k) s(mu_k)^T is positive definite.  A rule whose
+    Gram matrix is singular to within DEFINITENESS_RTOL (in particular any
+    rule with fewer nodes than basis polynomials) is refused before
+    matrix_fn is called.  C, if given, is attached unchanged (the output
+    matrix of an untransformed family projects exactly, so callers pass the
+    exact block matrix).
+
+    The projected E and A are dense by nature: together they take
+    2 (m n)^2 8 bytes.  The sum over the nodes runs as chunked GEMMs whose
+    working memory beyond the output stays within a few megabytes.
     """
     if rule.nodes.shape[1] != basis.q:
         raise ValueError("quadrature nodes and basis dimension differ")
     if np.any(rule.weights <= 0):
         raise ValueError("quadrature weights must be strictly positive")
+    if rule.k == 0:
+        raise ValueError("quadrature rule has no nodes")
     m = basis.m
-    A_hat = B_hat = E_hat = None
-    for k in range(rule.k):
-        mu = rule.nodes[k]
+    S = eval_basis(basis, rule.nodes)
+    wS = rule.weights[:, None] * S
+    eig = np.linalg.eigvalsh(wS.T @ S)
+    if eig[0] <= DEFINITENESS_RTOL * eig[-1]:
+        raise ValueError(
+            f"quadrature with k = {rule.k} nodes gives a singular chaos Gram "
+            f"matrix for m = {m} basis polynomials (lambda_min / lambda_max = "
+            f"{eig[0] / eig[-1]:.1e}); at least m = {m} nodes are needed")
+    As, Bs, Es = [], [], []
+    for k, mu in enumerate(rule.nodes):
         try:
             A_k, B_k, E_k = matrix_fn(mu)
         except Exception as exc:
             raise RuntimeError(f"matrix evaluation failed at node {k}: {exc}") from exc
         A_k = np.asarray(A_k, dtype=float)
         B_k = np.atleast_2d(np.asarray(B_k, dtype=float))
-        E_k = np.asarray(E_k, dtype=float)
         if B_k.shape[0] == 1 and A_k.shape[0] != 1:
             B_k = B_k.T
-        s = eval_basis(basis, mu)
-        S = np.outer(s, s)
-        w = rule.weights[k]
-        if A_hat is None:
-            n = A_k.shape[0]
-            A_hat = np.zeros((m * n, m * n))
-            E_hat = np.zeros((m * n, m * n))
-            B_hat = np.zeros((m * n, B_k.shape[1]))
-        A_hat += w * np.kron(S, A_k)
-        E_hat += w * np.kron(S, E_k)
-        B_hat += w * np.kron(s[:, None], B_k)
-    if A_hat is None:
-        raise ValueError("quadrature rule has no nodes")
-    n = A_hat.shape[0] // m
+        As.append(A_k)
+        Bs.append(B_k)
+        Es.append(np.asarray(E_k, dtype=float))
+    n = As[0].shape[0]
+    A_hat = _weighted_kron_sum(S, wS, np.stack(As))
+    E_hat = _weighted_kron_sum(S, wS, np.stack(Es))
+    B_hat = np.einsum("ki,kac->iac", wS, np.stack(Bs)).reshape(m * n, -1)
     if C is None:
         C = np.zeros((0, m * n))
     return GalerkinSystem(E=E_hat, A=A_hat, B=B_hat, C=C, m=m, n=n,

@@ -214,27 +214,27 @@ def build_basis(dists, degree: int) -> PCBasis:
 
 
 def eval_basis(basis: PCBasis, mu) -> np.ndarray:
-    """Vector s(mu) of all basis polynomials at one parameter point."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if mu.shape != (basis.q,):
-        raise ValueError(f"expected parameter vector of length {basis.q}")
+    """Basis values s(mu): shape (m,) at one point, (k, m) at k points (k, q).
+
+    The univariate factors are multiplied in the same order for a batch as
+    for a single point, so every row of a batch equals the single-point
+    vector bit for bit.
+    """
+    mu = np.asarray(mu, dtype=float)
+    points = np.atleast_2d(mu)
+    if mu.ndim > 2 or points.shape[1] != basis.q:
+        raise ValueError(f"expected parameter vectors of length {basis.q}")
     per_dim = [
-        _orthonormal_1d(dist, dist.standardize(mu[j]), basis.degree)
+        _orthonormal_1d(dist, dist.standardize(points[:, j]), basis.degree)
         for j, dist in enumerate(basis.dists)
     ]
-    s = np.empty(basis.m)
+    S = np.empty((points.shape[0], basis.m))
     for pos, idx in enumerate(basis.indices):
-        v = 1.0
+        v = np.ones(points.shape[0])
         for j, e in enumerate(idx):
             v *= per_dim[j][e]
-        s[pos] = v
-    return s
-
-
-def eval_basis_outer(basis: PCBasis, mu) -> np.ndarray:
-    """Rank-one matrix S(mu) = s(mu) s(mu)^T."""
-    s = eval_basis(basis, mu)
-    return np.outer(s, s)
+        S[:, pos] = v
+    return S if mu.ndim == 2 else S[0]
 
 
 def _univariate_moment_table(dist: Distribution, degree: int) -> np.ndarray:

@@ -145,9 +145,12 @@ def technique_ii(aps: AffineParamSystem, basis: PCBasis, quad: QuadratureRule,
     At every node mu_k the matrices are replaced by E^T M E, E^T M A, E^T M B
     with M = M(mu_k) solving the local Lyapunov equation; the transformed
     realization is dissipative by construction, and any positive-weight
-    quadrature sum of dissipative realizations stays dissipative.  The output
-    matrix is untouched by the transform, so the exact projected C is
-    attached.
+    quadrature sum of dissipative realizations stays dissipative.  That needs
+    two conditions on the quadrature: positive weights, and a positive
+    definite chaos Gram matrix sum_k w_k s(mu_k) s(mu_k)^T, which takes at
+    least m = basis.m nodes; assemble_via_quadrature raises ValueError when
+    either fails.  The output matrix is untouched by the transform, so the
+    exact projected C is attached.
     """
     n = aps.n
     if F is None:

@@ -3,9 +3,11 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+import sgmor.galerkin
 from sgmor import (
     AffineParamSystem,
     Distribution,
+    QuadratureRule,
     assemble,
     assemble_output,
     assemble_via_quadrature,
@@ -168,6 +170,71 @@ class TestQuadratureAssembly:
 
         with pytest.raises(RuntimeError, match="node 0"):
             assemble_via_quadrature(matrix_fn, basis, rule)
+
+
+def kron_loop_reference(matrix_fn, basis, rule):
+    """Per-node sum of w_k S(mu_k) (x) X(mu_k), one dense kron per node."""
+    A_hat = E_hat = B_hat = 0.0
+    for w, mu in zip(rule.weights, rule.nodes):
+        A_k, B_k, E_k = matrix_fn(mu)
+        s = eval_basis(basis, mu)
+        A_hat = A_hat + w * np.kron(np.outer(s, s), A_k)
+        E_hat = E_hat + w * np.kron(np.outer(s, s), E_k)
+        B_hat = B_hat + w * np.kron(s[:, None], B_k)
+    return A_hat, B_hat, E_hat
+
+
+class TestQuadratureContraction:
+    @pytest.mark.parametrize("chunk_bytes", [1, sgmor.galerkin._CHUNK_BYTES])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_kron_loop(self, seed, chunk_bytes, monkeypatch):
+        # a non-affine dependence, so no exact assembly exists to compare to;
+        # chunk_bytes = 1 makes every block row its own chunk
+        monkeypatch.setattr(sgmor.galerkin, "_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 6))
+        q = int(rng.integers(1, 4))
+        dists = [Distribution.uniform(0.5, 1.5), Distribution.gaussian(0.0, 1.0),
+                 Distribution.uniform(-1.0, 1.0)][:q]
+        basis = build_basis(dists, 2)
+        A0, A1, E0, E1 = (rng.standard_normal((n, n)) for _ in range(4))
+        B0, B1 = (rng.standard_normal((n, 2)) for _ in range(2))
+
+        def matrix_fn(mu):
+            t, u = np.tanh(mu.sum()), np.dot(mu, mu)
+            return A0 + t * A1, B0 + u * B1, E0 + u * E1
+
+        rule = monte_carlo_rule(dists, 3 * basis.m, seed=seed)
+        gal = assemble_via_quadrature(matrix_fn, basis, rule)
+        A_ref, B_ref, E_ref = kron_loop_reference(matrix_fn, basis, rule)
+        # the GEMM sums the nodes in another order than the loop; entries
+        # that cancel to near zero are held to rtol times the largest entry
+        for got, ref in ((gal.A, A_ref), (gal.E, E_ref), (gal.B, B_ref)):
+            assert got.shape == ref.shape
+            assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+        assert (gal.m, gal.n, gal.n_in) == (basis.m, n, 2)
+
+
+class TestGramCheck:
+    def _refuses(self, basis, rule):
+        def matrix_fn(mu):
+            raise AssertionError("matrix_fn must not run on a refused rule")
+
+        with pytest.raises(ValueError, match=f"at least m = {basis.m} nodes"):
+            assemble_via_quadrature(matrix_fn, basis, rule)
+
+    def test_fewer_nodes_than_basis_polynomials(self):
+        dists = (Distribution.uniform(0.8, 1.2), Distribution.gaussian(0.0, 1.0))
+        basis = build_basis(dists, 2)
+        self._refuses(basis, monte_carlo_rule(dists, basis.m - 1, seed=0))
+
+    def test_repeated_nodes(self):
+        # enough nodes, but all at one point: the Gram matrix has rank one
+        dists = (Distribution.uniform(0.8, 1.2),)
+        basis = build_basis(dists, 2)
+        rule = QuadratureRule(nodes=np.full((2 * basis.m, 1), 0.9),
+                              weights=np.full(2 * basis.m, 0.5 / basis.m))
+        self._refuses(basis, rule)
 
 
 class TestQoi:

@@ -10,7 +10,6 @@ from sgmor import (
     basis_count,
     build_basis,
     eval_basis,
-    eval_basis_outer,
     moment_matrix,
     monte_carlo_rule,
     tensor_rule,
@@ -145,16 +144,30 @@ class TestEvalBasis:
                 gram += (w1[i] / 2.0) * (w2[j] / 2.0) * np.outer(s, s)
         assert_allclose(gram, np.eye(b.m), atol=1e-12)
 
-    def test_outer_is_rank_one(self):
-        b = build_basis([Distribution.uniform(-1, 1)] * 2, 1)
-        S = eval_basis_outer(b, [0.2, 0.4])
-        s = eval_basis(b, [0.2, 0.4])
-        assert_allclose(S, np.outer(s, s), rtol=1e-14)
+    def test_batch_rows_equal_single_points(self):
+        dists = [Distribution.uniform(0.5, 1.5), Distribution.gaussian(0.0, 2.0),
+                 Distribution.uniform(-1, 1)]
+        b = build_basis(dists, 3)
+        rule = monte_carlo_rule(dists, 7, seed=3)
+        S = eval_basis(b, rule.nodes)
+        assert S.shape == (7, b.m)
+        for row, mu in zip(S, rule.nodes):
+            assert np.array_equal(row, eval_basis(b, mu))
+
+    def test_batch_of_one_parameter(self):
+        b = build_basis([Distribution.uniform(-1, 1)], 2)
+        S = eval_basis(b, [[0.5], [-0.25]])
+        assert np.array_equal(S[0], eval_basis(b, 0.5))
+        assert np.array_equal(S[1], eval_basis(b, [-0.25]))
 
     def test_wrong_length_rejected(self):
         b = build_basis([Distribution.uniform(-1, 1)] * 2, 1)
         with pytest.raises(ValueError):
             eval_basis(b, [0.1])
+        with pytest.raises(ValueError):
+            eval_basis(b, np.zeros((4, 3)))
+        with pytest.raises(ValueError):
+            eval_basis(b, np.zeros((1, 4, 2)))
 
 
 class TestMomentMatrix:
@@ -200,7 +213,8 @@ class TestMomentMatrix:
             G = moment_matrix(b, l).toarray()
             ref = np.zeros_like(G)
             for w, mu in zip(rule.weights, rule.nodes):
-                ref += w * mu[l - 1] * eval_basis_outer(b, mu)
+                s = eval_basis(b, mu)
+                ref += w * mu[l - 1] * np.outer(s, s)
             assert_allclose(G, ref, atol=1e-12)
 
     def test_symmetry_and_sparsity(self):
