@@ -14,17 +14,15 @@ from .pce import (Distribution, PCBasis, QuadratureRule, basis_count,
 from .systems import (AffineParamSystem, DissipativityCheck,
                       H2DivergenceError, LTISystem, PencilSpectrum, eval_at,
                       h2_norm, h2_relative_error, is_asymptotically_stable,
-                      is_dissipative, pencil_spectrum, spectral_abscissa,
-                      time_domain_error_bound, transfer_eval,
-                      transfer_on_grid)
+                      is_dissipative, pencil_spectrum, shifted_solver,
+                      spectral_abscissa, transfer_eval, transfer_on_grid)
 from .galerkin import (GalerkinSystem, assemble, assemble_output,
                        assemble_via_quadrature, expand_qoi, qoi_stats)
-from .lyapunov import (accuracy_bound, freq_projection, lyap_residual,
-                       solve_lyap_direct, solve_lyap_param)
-from .stabilize import (CommutationReport, RegularizationParams,
-                        StabilizationOutcome, regularization_commutes,
-                        regularize, regularize_affine, technique_i,
-                        technique_ii, technique_iii, theta_family)
+from .lyapunov import freq_projection, lyap_residual, solve_lyap_direct
+from .stabilize import (CommutationReport, StabilizationOutcome,
+                        regularization_commutes, regularize,
+                        regularize_affine, technique_i, technique_ii,
+                        technique_iii, theta_family)
 from .mor import (ArnoldiResult, ProjectionPair, ReducedSystem,
                   StabilityReport, SweepRow, arnoldi, reduce,
                   stability_sweep)

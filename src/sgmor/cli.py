@@ -7,14 +7,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import (BPF_EXPANSION, BPF_OMEGA_SCALE, MSD_EXPANSION, RunConfig,
-                    build_bandpass, build_msd, run_experiment)
+from .bench import RunConfig, _model_pieces, run_experiment
 from .frequency import FrequencyRule
 from .galerkin import assemble
 from .mmio import load_system, save_system
 from .mor import arnoldi, stability_sweep
 from .pce import build_basis
-from .stabilize import regularize_affine, technique_i, technique_iii
+from .stabilize import technique_i, technique_iii
 from .systems import h2_relative_error
 
 
@@ -61,15 +60,6 @@ def _bench_config(args, model: str) -> RunConfig:
     return RunConfig.from_dict(cfg)
 
 
-def _build_family(model: str, beta):
-    aps = build_bandpass() if model == "bpf" else build_msd()
-    if model == "bpf":
-        aps = regularize_affine(aps, 1e-5 if beta is None else beta)
-    elif beta is not None:
-        aps = regularize_affine(aps, beta)
-    return aps
-
-
 def _cmd_bench(args) -> int:
     cfg = _bench_config(args, args.bench_model)
     result = run_experiment(cfg)
@@ -86,7 +76,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
-    aps = _build_family(args.model, args.beta)
+    aps = _model_pieces(RunConfig(model=args.model, beta=args.beta))[0]
     basis = build_basis(aps.dists, args.degree)
     gal = assemble(aps, basis)
     extra = {"kind": "galerkin", "m": gal.m, "n": gal.n,
@@ -118,19 +108,16 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_stabilize(args) -> int:
-    aps = _build_family(args.model, args.beta)
+    # --omega-scale sets the technique-i quadrature, the stab_scale of a run
+    aps, s0, _, stab_scale, _ = _model_pieces(RunConfig(
+        model=args.model, beta=args.beta, expansion_point=args.expansion_point,
+        stab_scale=args.omega_scale))
     basis = build_basis(aps.dists, args.degree)
     gal = assemble(aps, basis)
-    s0 = args.expansion_point
-    if s0 is None:
-        s0 = BPF_EXPANSION if args.model == "bpf" else MSD_EXPANSION
-    scale = args.omega_scale
-    if scale is None:
-        scale = BPF_OMEGA_SCALE if args.model == "bpf" else 1.0
     arn = arnoldi(gal.E, gal.A, gal.B, s0, args.rmax)
     if args.technique == "i":
-        outcome = technique_i(gal, arn.V,
-                              rule=FrequencyRule.gauss(args.nodes, omega_scale=scale))
+        outcome = technique_i(gal, arn.V, rule=FrequencyRule.gauss(
+            args.nodes, omega_scale=stab_scale))
     else:
         outcome = technique_iii(gal, aps, arn.V)
     out_dir = Path(args.out)

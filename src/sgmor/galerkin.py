@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .pce import PCBasis, QuadratureRule, eval_basis, moment_matrix
-from .systems import AffineParamSystem, LTISystem
+from .systems import AffineParamSystem, LTISystem, _as_dense
 
 # A quadrature rule is refused when the smallest eigenvalue of its chaos Gram
 # matrix is at most this fraction of the largest.
@@ -94,15 +94,13 @@ def assemble(aps: AffineParamSystem, basis: PCBasis) -> GalerkinSystem:
     A_hat = _assemble_square(aps.A0, aps.A_parts, Gs, m)
     C_hat = _assemble_square(aps.C0, aps.C_parts, Gs, m)
 
-    B0 = np.atleast_2d(np.asarray(aps.B0 if not sp.issparse(aps.B0)
-                                  else aps.B0.toarray(), dtype=float))
+    B0 = np.atleast_2d(_as_dense(aps.B0))
     e1 = np.zeros(m)
     e1[0] = 1.0
     B_hat = np.kron(e1[:, None], B0)
     for l, part in enumerate(aps.B_parts):
         if part is not None:
-            Bl = np.atleast_2d(np.asarray(part if not sp.issparse(part)
-                                          else part.toarray(), dtype=float))
+            Bl = np.atleast_2d(_as_dense(part))
             g_col = Gs[l + 1][:, [0]].toarray().ravel()
             B_hat = B_hat + np.kron(g_col[:, None], Bl)
     return GalerkinSystem(E=E_hat, A=A_hat, B=B_hat, C=C_hat, m=m, n=n,

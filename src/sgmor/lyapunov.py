@@ -11,20 +11,14 @@ import warnings
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .frequency import FrequencyRule, default_rule
-from .systems import AffineParamSystem, eval_at, pencil_spectrum
+from .systems import _as_dense, _pencil, pencil_spectrum, shifted_solver
 
 __all__ = [
-    "FrequencyRule", "default_rule", "solve_lyap_direct", "solve_lyap_param",
-    "freq_projection", "accuracy_bound", "lyap_residual",
+    "FrequencyRule", "default_rule", "solve_lyap_direct", "freq_projection",
+    "lyap_residual",
 ]
-
-
-def _dense(X):
-    return X.toarray() if sp.issparse(X) else np.asarray(X, dtype=float)
 
 
 def solve_lyap_direct(E, A, F, check_stability: bool = True) -> np.ndarray:
@@ -35,7 +29,7 @@ def solve_lyap_direct(E, A, F, check_stability: bool = True) -> np.ndarray:
     With F symmetric positive definite the solution M is symmetric positive
     definite as well.
     """
-    Ed, Ad, Fd = _dense(E), _dense(A), _dense(F)
+    Ed, Ad, Fd = _as_dense(E), _as_dense(A), _as_dense(F)
     n = Ed.shape[0]
     if Ed.shape != (n, n) or Ad.shape != (n, n) or Fd.shape != (n, n):
         raise ValueError("E, A, F must be square and equally sized")
@@ -60,17 +54,6 @@ def solve_lyap_direct(E, A, F, check_stability: bool = True) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def solve_lyap_param(aps: AffineParamSystem, mu, F,
-                     check_stability: bool = True) -> np.ndarray:
-    """Solve the Lyapunov equation for the family instantiated at mu."""
-    sys_mu = eval_at(aps, mu)
-    try:
-        return solve_lyap_direct(sys_mu.E, sys_mu.A, F,
-                                 check_stability=check_stability)
-    except ValueError as exc:
-        raise ValueError(f"Lyapunov solve failed at mu = {np.asarray(mu)}: {exc}") from exc
-
-
 def freq_projection(E, A, F, V, rule: FrequencyRule | None = None) -> np.ndarray:
     """W = M E V by frequency-domain quadrature, without forming M.
 
@@ -87,54 +70,20 @@ def freq_projection(E, A, F, V, rule: FrequencyRule | None = None) -> np.ndarray
     n = E.shape[0]
     if V.shape[0] != n:
         raise ValueError("V must have as many rows as E")
-    sparse = sp.issparse(E) or sp.issparse(A)
-    if sparse:
-        Ec = sp.csc_matrix(E, dtype=complex)
-        Ac = sp.csc_matrix(A, dtype=complex)
-        Fc = sp.csc_matrix(F, dtype=complex) if sp.issparse(F) else np.asarray(F, dtype=complex)
-    else:
-        Ec = np.asarray(E, dtype=complex)
-        Ac = np.asarray(A, dtype=complex)
-        Fc = np.asarray(F, dtype=complex)
-    EV = (Ec @ V).astype(complex)
+    E, A = _pencil(E, A)
+    EV = E @ V
     omegas, gw, jac = rule.half()
     W = np.zeros((n, V.shape[1]))
     for j, om in enumerate(omegas):
-        K = (1j * om) * Ec - Ac
-        try:
-            if sparse:
-                lu = spla.splu(K.tocsc())
-                X = lu.solve(EV)
-                Y = lu.solve(Fc @ X, trans="H")
-            else:
-                lu_piv = sla.lu_factor(K)
-                X = sla.lu_solve(lu_piv, EV)
-                Y = sla.lu_solve(lu_piv, Fc @ X, trans=2)
-        except (RuntimeError, sla.LinAlgError, ValueError) as exc:
-            raise ValueError(f"factorization failed at omega = {om}") from exc
+        solve = shifted_solver(E, A, 1j * om)
+        Y = solve(F @ solve(EV), adjoint=True)
         W += (gw[j] * jac[j]) * Y.real
     return W / (2.0 * np.pi)
 
 
-def accuracy_bound(E, A) -> float:
-    """Scale factor 1 / (||A^T|| ||E|| + ||A|| ||E^T||) in spectral norms.
-
-    Multiplying an absolute quadrature error for M by this factor's inverse
-    bounds the residual of the Lyapunov equation; it is a cheap
-    conditioning indicator for the frequency-domain approach.
-    """
-    Ed, Ad = _dense(E), _dense(A)
-    na = np.linalg.norm(Ad, 2)
-    ne = np.linalg.norm(Ed, 2)
-    denom = 2.0 * na * ne
-    if denom == 0.0:
-        raise ValueError("bound undefined for zero E or A")
-    return 1.0 / denom
-
-
 def lyap_residual(E, A, F, M) -> float:
     """Relative residual ||A^T M E + E^T M A + F||_F / ||F||_F."""
-    Ed, Ad, Fd, Md = _dense(E), _dense(A), _dense(F), _dense(M)
+    Ed, Ad, Fd, Md = _as_dense(E), _as_dense(A), _as_dense(F), _as_dense(M)
     R = Ad.T @ Md @ Ed + Ed.T @ Md @ Ad + Fd
     nF = np.linalg.norm(Fd)
     if nF == 0.0:

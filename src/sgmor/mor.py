@@ -9,16 +9,14 @@ optionally attaches relative H2 errors, emitting a CSV-ready report.
 
 import csv
 import io
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .frequency import FrequencyRule
-from .systems import LTISystem, pencil_spectrum, transfer_on_grid
+from .systems import (LTISystem, _as_dense, _weighted_energy, pencil_spectrum,
+                      shifted_solver, transfer_on_grid)
 
 BREAKDOWN_RTOL = 1e-13
 
@@ -46,44 +44,21 @@ def arnoldi(E, A, B, s0: float, r_max: int,
     returned with the breakdown flag set.
     """
     n = E.shape[0]
-    Bd = np.asarray(B.toarray() if sp.issparse(B) else B, dtype=float).reshape(n, -1)
+    Bd = _as_dense(B).reshape(n, -1)
     if Bd.shape[1] != 1:
         raise ValueError("expansion requires a single-input system")
     if r_max < 1:
         raise ValueError("r_max must be positive")
     r_max = min(r_max, n)
-    sparse = sp.issparse(E) or sp.issparse(A)
-    K = s0 * (sp.csc_matrix(E) if sparse else np.asarray(E, dtype=float)) \
-        - (sp.csc_matrix(A) if sparse else np.asarray(A, dtype=float))
-    try:
-        with warnings.catch_warnings():
-            # singular factorizations are caught via the finiteness check below
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            if sparse:
-                lu = spla.splu(K.tocsc())
-                base_solve = lu.solve
-            else:
-                lu_piv = sla.lu_factor(K)
-                base_solve = lambda rhs: sla.lu_solve(lu_piv, rhs)
-    except (RuntimeError, sla.LinAlgError, ValueError) as exc:
-        raise ValueError(f"(s0 E - A) is singular at s0 = {s0}") from exc
-
-    def solve(rhs):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = base_solve(rhs)
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"(s0 E - A) is singular at s0 = {s0}")
-        return x
-
+    solve = shifted_solver(E, A, s0)
     v = solve(Bd[:, 0])
     ref_norm = np.linalg.norm(v)
     if ref_norm == 0.0:
         raise ValueError("start vector (s0 E - A)^-1 B is zero")
     V = np.empty((n, r_max))
     V[:, 0] = v / ref_norm
-    Esp = sp.csr_matrix(E) if sparse else np.asarray(E, dtype=float)
     for j in range(1, r_max):
-        w = solve(np.asarray(Esp @ V[:, j - 1]).ravel())
+        w = solve(np.asarray(E @ V[:, j - 1]).ravel())
         for _ in range(2):  # MGS plus one reorthogonalization
             for i in range(j):
                 w -= (V[:, i] @ w) * V[:, i]
@@ -155,7 +130,7 @@ def reduce(fom: LTISystem, pair: ProjectionPair, provenance: dict | None = None)
         raise ValueError("projection basis does not match system dimension")
     WE = W.T @ np.asarray(fom.E @ V)
     WA = W.T @ np.asarray(fom.A @ V)
-    WB = W.T @ np.asarray(fom.B if not sp.issparse(fom.B) else fom.B.toarray())
+    WB = W.T @ _as_dense(fom.B)
     CV = np.asarray(fom.C @ V)
     sv = sla.svdvals(WE)
     ill = bool(sv[-1] <= 1e-12 * max(sv[0], 1e-300))
@@ -240,7 +215,7 @@ def stability_sweep(fom: LTISystem, V_full, r_list, W_full=None,
         omegas, gw, jac = freq_rule.half()
         weights = gw * jac
         fom_vals = transfer_on_grid(reference, omegas)
-        den = float(np.sum(weights * np.sum(np.abs(fom_vals) ** 2, axis=(1, 2))))
+        den = _weighted_energy(weights, fom_vals)
         if den <= 0.0:
             raise ValueError("reference system has zero response on the error grid")
 
@@ -255,9 +230,7 @@ def stability_sweep(fom: LTISystem, V_full, r_list, W_full=None,
             err = None
             if freq_rule is not None:
                 rom_vals = transfer_on_grid(red.as_lti(), omegas)
-                num = float(np.sum(weights *
-                                   np.sum(np.abs(fom_vals - rom_vals) ** 2, axis=(1, 2))))
-                err = float(np.sqrt(num / den))
+                err = float(np.sqrt(_weighted_energy(weights, fom_vals - rom_vals) / den))
             rows.append(SweepRow(r=r, stable=stable, abscissa=float(spectrum.abscissa),
                                  rel_h2_error=err))
         except Exception as exc:

@@ -187,17 +187,6 @@ class PCBasis:
     def m(self) -> int:
         return len(self.indices)
 
-    def index_position(self, idx) -> int:
-        return self._lookup[tuple(idx)]
-
-    @property
-    def _lookup(self):
-        cache = self.__dict__.get("_lookup_cache")
-        if cache is None:
-            cache = {idx: pos for pos, idx in enumerate(self.indices)}
-            self.__dict__["_lookup_cache"] = cache
-        return cache
-
 
 def build_basis(dists, degree: int) -> PCBasis:
     """Construct the total-degree orthonormal basis for the given parameters."""
@@ -272,7 +261,7 @@ def moment_matrix(basis: PCBasis, l: int):
         return sp.identity(m, format="csr")
     dim = l - 1
     J = _univariate_moment_table(basis.dists[dim], basis.degree)
-    lookup = basis._lookup
+    lookup = {idx: pos for pos, idx in enumerate(basis.indices)}
     rows, cols, vals = [], [], []
     for i, idx in enumerate(basis.indices):
         a = idx[dim]

@@ -31,24 +31,9 @@ from .galerkin import (GalerkinSystem, assemble, assemble_output,
                        assemble_via_quadrature)
 from .lyapunov import freq_projection, solve_lyap_direct
 from .pce import PCBasis, QuadratureRule
-from .systems import AffineParamSystem, eval_at
+from .systems import AffineParamSystem, _as_dense, eval_at
 
 DEFAULT_BETA = 1e-5
-
-
-@dataclass(frozen=True)
-class RegularizationParams:
-    """Shift pair (alpha, beta) with alpha tied to beta squared."""
-
-    beta: float = DEFAULT_BETA
-
-    def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-
-    @property
-    def alpha(self) -> float:
-        return self.beta ** 2
 
 
 def regularize(E, A, beta: float = DEFAULT_BETA):
@@ -58,8 +43,9 @@ def regularize(E, A, beta: float = DEFAULT_BETA):
     the finite ones only O(beta); the perturbed system is an ordinary
     differential equation whenever E - alpha A is nonsingular.
     """
-    params = RegularizationParams(beta)
-    alpha = params.alpha
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    alpha = beta ** 2
     E_reg = E - alpha * A
     A_reg = A + beta * E
     return E_reg, A_reg
@@ -72,8 +58,9 @@ def regularize_affine(aps: AffineParamSystem, beta: float = DEFAULT_BETA) -> Aff
     at mu equals evaluating first and regularizing then; the same holds for
     the spectral projection.
     """
-    params = RegularizationParams(beta)
-    alpha = params.alpha
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    alpha = beta ** 2
 
     def combo(X, Y, c):
         # X + c * Y with None meaning zero
@@ -155,17 +142,15 @@ def technique_ii(aps: AffineParamSystem, basis: PCBasis, quad: QuadratureRule,
     n = aps.n
     if F is None:
         F = np.eye(n)
-    F = np.asarray(F if not sp.issparse(F) else F.toarray(), dtype=float)
+    F = _as_dense(F)
     if F.shape != (n, n):
         raise ValueError("F must match the state dimension of the family")
 
     def transformed_matrices(mu):
         sys_mu = eval_at(aps, mu)
         M = solve_lyap_direct(sys_mu.E, sys_mu.A, F)
-        Ed = sys_mu.E if not sp.issparse(sys_mu.E) else sys_mu.E.toarray()
-        Ad = sys_mu.A if not sp.issparse(sys_mu.A) else sys_mu.A.toarray()
-        Bd = sys_mu.B if not sp.issparse(sys_mu.B) else sys_mu.B.toarray()
-        EtM = np.asarray(Ed).T @ M
+        Ed, Ad, Bd = _as_dense(sys_mu.E), _as_dense(sys_mu.A), _as_dense(sys_mu.B)
+        EtM = Ed.T @ M
         return EtM @ Ad, EtM @ Bd, EtM @ Ed
 
     t0 = time.perf_counter()

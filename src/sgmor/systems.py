@@ -2,8 +2,10 @@
 
 Covers the deterministic side of the pipeline: generalized eigenvalues of the
 pencil (E, A), asymptotic stability, the dissipativity test (E symmetric
-positive definite together with A + A^T negative definite), transfer-function
-evaluation, and H2 norms computed by quadrature on the imaginary axis.
+positive definite together with A + A^T negative definite), the shifted
+solve (s E - A)^-1 b that every other module factors through,
+transfer-function evaluation, and H2 norms computed by quadrature on the
+imaginary axis.
 """
 
 import warnings
@@ -26,14 +28,9 @@ INFINITE_EIG_RTOL = 1e-12
 DEFINITENESS_RTOL = 1e-10
 
 
-def _is_sparse(X) -> bool:
-    return sp.issparse(X)
-
-
 def _as_dense(X) -> np.ndarray:
-    if sp.issparse(X):
-        return X.toarray()
-    return np.asarray(X)
+    """X as a dense float array; dense input is not copied."""
+    return np.asarray(X.toarray() if sp.issparse(X) else X, dtype=float)
 
 
 @dataclass(eq=False)
@@ -179,8 +176,8 @@ def pencil_spectrum(E, A, infinite_rtol: float = INFINITE_EIG_RTOL) -> PencilSpe
     infinite_rtol * max(||E||, ||A||) count as infinite.  A pair with both
     components below that threshold signals a singular pencil and raises.
     """
-    Ed = _as_dense(E).astype(float)
-    Ad = _as_dense(A).astype(float)
+    Ed = _as_dense(E)
+    Ad = _as_dense(A)
     n = Ed.shape[0]
     if Ed.shape != (n, n) or Ad.shape != (n, n):
         raise ValueError("E and A must be square and equally sized")
@@ -229,8 +226,8 @@ def is_dissipative(E, A, rtol: float = DEFINITENESS_RTOL) -> DissipativityCheck:
     Definiteness is decided with a margin of rtol times the spectral norm of
     the tested matrix, so numerically semidefinite cases fail the check.
     """
-    Ed = _as_dense(E).astype(float)
-    Ad = _as_dense(A).astype(float)
+    Ed = _as_dense(E)
+    Ad = _as_dense(A)
     sym_err = np.linalg.norm(Ed - Ed.T)
     if sym_err > 1e-10 * max(np.linalg.norm(Ed), 1e-300):
         return DissipativityCheck(ok=False, reason="E is not symmetric")
@@ -251,50 +248,72 @@ def is_dissipative(E, A, rtol: float = DEFINITENESS_RTOL) -> DissipativityCheck:
         ok=True, lambda_min_E=float(lam_E[0]), lambda_max_symA=float(lam_S[-1]))
 
 
-class _TransferEvaluator:
-    """Factorizes (s E - A) once per frequency and applies C (.) B."""
+def _pencil(E, A):
+    """Complex E and A, both CSC when either is sparse, else both dense.
 
-    def __init__(self, sys: LTISystem):
-        self.sys = sys
-        self.sparse = _is_sparse(sys.E) or _is_sparse(sys.A)
-        if self.sparse:
-            self.Ec = sp.csc_matrix(sys.E, dtype=complex)
-            self.Ac = sp.csc_matrix(sys.A, dtype=complex)
+    shifted_solver then forms and factors s E - A at a complex shift with no
+    per-shift conversion.
+    """
+    if sp.issparse(E) or sp.issparse(A):
+        return sp.csc_matrix(E, dtype=complex), sp.csc_matrix(A, dtype=complex)
+    return np.asarray(E, dtype=complex), np.asarray(A, dtype=complex)
+
+
+def shifted_solver(E, A, s):
+    """Factor K = s E - A once; returns solve(rhs, adjoint=False).
+
+    solve applies K^-1, or K^-H with adjoint set.  K is factored by SuperLU
+    when it is sparse and by LAPACK getrf otherwise; it is real for real E,
+    A and s, and complex for a complex shift.  A failed factorization or a
+    non-finite solution raises ValueError naming s.  Callers that factor at
+    many imaginary shifts pass E and A through _pencil once.
+    """
+    singular = f"(sE - A) is singular at s = {s}"
+    K = s * E - A
+    try:
+        with warnings.catch_warnings():
+            # a zero pivot shows up as a non-finite solution instead
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            if sp.issparse(K):
+                lu = spla.splu(K.tocsc())
+            else:
+                lu_piv = sla.lu_factor(K)
+    except (RuntimeError, sla.LinAlgError, ValueError) as exc:
+        raise ValueError(singular) from exc
+
+    def solve(rhs, adjoint=False):
+        if sp.issparse(K):
+            x = lu.solve(rhs, trans="H" if adjoint else "N")
         else:
-            self.Ec = _as_dense(sys.E).astype(complex)
-            self.Ac = _as_dense(sys.A).astype(complex)
-        self.Bd = _as_dense(sys.B).astype(complex)
-        self.Cd = _as_dense(sys.C).astype(complex)
+            x = sla.lu_solve(lu_piv, rhs, trans=2 if adjoint else 0,
+                             check_finite=False)
+        if not np.all(np.isfinite(x)):
+            raise ValueError(singular)
+        return x
 
-    def __call__(self, s: complex) -> np.ndarray:
-        K = s * self.Ec - self.Ac
-        try:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if self.sparse:
-                    X = spla.splu(K.tocsc()).solve(self.Bd)
-                else:
-                    X = sla.solve(K, self.Bd)
-        except (RuntimeError, sla.LinAlgError, ValueError) as exc:
-            raise ValueError(f"(sE - A) is singular at s = {s}") from exc
-        if not np.all(np.isfinite(X)):
-            # diagonal fast paths in the solvers divide instead of raising
-            raise ValueError(f"(sE - A) is singular at s = {s}")
-        return self.Cd @ X
+    return solve
 
 
 def transfer_eval(sys: LTISystem, s: complex) -> np.ndarray:
     """Transfer function H(s) = C (s E - A)^[-1] B at one point."""
-    return _TransferEvaluator(sys)(s)
+    return _as_dense(sys.C) @ shifted_solver(sys.E, sys.A, s)(_as_dense(sys.B))
 
 
 def transfer_on_grid(sys: LTISystem, omegas) -> np.ndarray:
     """H(i omega) stacked over a frequency grid, shape (k, n_out, n_in)."""
-    ev = _TransferEvaluator(sys)
+    E, A = _pencil(sys.E, sys.A)
+    B = _as_dense(sys.B).astype(complex)
+    C = _as_dense(sys.C).astype(complex)
     omegas = np.asarray(omegas, dtype=float)
     out = np.empty((omegas.size, sys.n_out, sys.n_in), dtype=complex)
     for j, om in enumerate(omegas):
-        out[j] = ev(1j * om)
+        out[j] = C @ shifted_solver(E, A, 1j * om)(B)
     return out
+
+
+def _weighted_energy(weights, vals) -> float:
+    """sum_j weights_j ||vals_j||_F^2 over transfer values stacked on a grid."""
+    return float(np.sum(weights * np.sum(np.abs(vals) ** 2, axis=(1, 2))))
 
 
 class H2DivergenceError(RuntimeError):
@@ -314,16 +333,11 @@ def _check_divergence(integrand: np.ndarray):
             "the H2 norm appears to be infinite (improper or polynomial part)")
 
 
-def _h2_quadrature(ev: _TransferEvaluator, rule: FrequencyRule) -> float:
+def _h2_quadrature(sys: LTISystem, rule: FrequencyRule) -> float:
     omegas, gw, jac = rule.half()
-    vals = np.empty(omegas.size)
-    for j, om in enumerate(omegas):
-        H = ev(1j * om)
-        vals[j] = np.linalg.norm(H, "fro") ** 2
-    integrand = vals * jac
-    _check_divergence(integrand)
-    total = np.dot(gw, integrand) / (2.0 * np.pi)
-    return float(np.sqrt(total))
+    H = transfer_on_grid(sys, omegas)
+    _check_divergence(np.sum(np.abs(H) ** 2, axis=(1, 2)) * jac)
+    return float(np.sqrt(_weighted_energy(gw * jac, H) / (2.0 * np.pi)))
 
 
 def h2_norm(sys: LTISystem, freq_rule: FrequencyRule | None = None,
@@ -336,14 +350,13 @@ def h2_norm(sys: LTISystem, freq_rule: FrequencyRule | None = None,
     integrands (transfer functions that do not vanish at infinity) raise
     H2DivergenceError.
     """
-    ev = _TransferEvaluator(sys)
     if freq_rule is not None:
-        return _h2_quadrature(ev, freq_rule)
+        return _h2_quadrature(sys, freq_rule)
     n_nodes = DEFAULT_NODES
     prev = None
     while True:
         rule = FrequencyRule.gauss(n_nodes, omega_scale=omega_scale)
-        val = _h2_quadrature(ev, rule)
+        val = _h2_quadrature(sys, rule)
         if prev is not None and abs(val - prev) <= conv_rtol * max(abs(val), 1e-300):
             return val
         if n_nodes >= max_nodes:
@@ -364,25 +377,10 @@ def h2_relative_error(fom: LTISystem, rom: LTISystem,
     rule = freq_rule if freq_rule is not None else FrequencyRule.gauss(
         DEFAULT_NODES, omega_scale=omega_scale)
     omegas, gw, jac = rule.half()
-    ev_f = _TransferEvaluator(fom)
-    ev_r = _TransferEvaluator(rom)
-    num = 0.0
-    den = 0.0
-    for j, om in enumerate(omegas):
-        Hf = ev_f(1j * om)
-        Hr = ev_r(1j * om)
-        wj = gw[j] * jac[j]
-        num += wj * np.linalg.norm(Hf - Hr, "fro") ** 2
-        den += wj * np.linalg.norm(Hf, "fro") ** 2
+    weights = gw * jac
+    Hf = transfer_on_grid(fom, omegas)
+    Hr = transfer_on_grid(rom, omegas)
+    den = _weighted_energy(weights, Hf)
     if den <= 0.0:
         raise ValueError("reference system has zero H2 norm on this grid")
-    return float(np.sqrt(num / den))
-
-
-def time_domain_error_bound(h2_abs_error: float, input_l2_norm: float) -> float:
-    """Uniform-in-time output error bound: H2 error times the input L2 norm.
-
-    Valid for inputs vanishing at t = 0; the supremum over time of the output
-    deviation is bounded by this product.
-    """
-    return float(h2_abs_error) * float(input_l2_norm)
+    return float(np.sqrt(_weighted_energy(weights, Hf - Hr) / den))

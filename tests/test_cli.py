@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from sgmor import LTISystem, save_system
+from sgmor import LTISystem, load_system, save_system, stability_sweep
 from sgmor.cli import main
 
 
@@ -77,6 +77,20 @@ class TestStabilizeCommand:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["technique"] == "iii"
         assert "margin" in diag
+
+    def test_bpf_technique_i_stable_at_every_order(self, capsys, tmp_path):
+        # the quadrature must use the stabilizer scale that sgmor bench uses;
+        # the passband scale leaves order 1 of the degree-1 filter unstable
+        assert main(["stabilize", "--model", "bpf", "--technique", "i",
+                     "--out", str(tmp_path / "fac")]) == 0
+        assert main(["assemble", "--model", "bpf", "--degree", "1",
+                     "--out", str(tmp_path / "fom")]) == 0
+        fom, _ = load_system(tmp_path / "fom")
+        V = np.loadtxt(tmp_path / "fac" / "V.txt")
+        W = np.loadtxt(tmp_path / "fac" / "W.txt")
+        report = stability_sweep(fom, V, range(1, V.shape[1] + 1), W_full=W)
+        assert len(report.rows) == 30
+        assert report.unstable_orders == []
 
 
 class TestH2ErrorCommand:

@@ -4,14 +4,10 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from sgmor import (
-    AffineParamSystem,
-    Distribution,
     FrequencyRule,
-    accuracy_bound,
     freq_projection,
     lyap_residual,
     solve_lyap_direct,
-    solve_lyap_param,
 )
 
 from _gen import (
@@ -77,31 +73,6 @@ class TestDirectSolve:
         assert chk.ok
 
 
-class TestParamSolve:
-    def _family(self):
-        n = 4
-        A1 = 0.05 * np.eye(n)
-        return AffineParamSystem(
-            E0=np.eye(n), A0=-np.eye(n), B0=np.ones((n, 1)), C0=np.ones((1, n)),
-            E_parts=(None,), A_parts=(A1,), B_parts=(None,), C_parts=(None,),
-            dists=(Distribution.uniform(-1.0, 1.0),))
-
-    def test_matches_direct(self):
-        aps = self._family()
-        mu = [0.3]
-        from sgmor import eval_at
-        sysm = eval_at(aps, mu)
-        F = np.eye(4)
-        assert_allclose(solve_lyap_param(aps, mu, F),
-                        solve_lyap_direct(sysm.E, sysm.A, F), rtol=1e-13)
-
-    def test_failure_names_parameter(self):
-        aps = self._family()
-        # at mu = 30 the drift A = -I + 1.5 I is unstable
-        with pytest.raises(ValueError, match="mu"):
-            solve_lyap_param(aps, [30.0], np.eye(4))
-
-
 class TestFrequencyProjection:
     def test_scalar_exact(self):
         # E = 1, A = -1, F = 2: M = 1, so W = M E V = V
@@ -141,13 +112,6 @@ class TestFrequencyProjection:
 
 
 class TestDiagnostics:
-    def test_accuracy_bound_identity(self):
-        assert_allclose(accuracy_bound(np.eye(3), -np.eye(3)), 0.5, rtol=1e-14)
-
-    def test_accuracy_bound_scales(self):
-        val = accuracy_bound(2.0 * np.eye(3), -4.0 * np.eye(3))
-        assert_allclose(val, 1.0 / 16.0, rtol=1e-14)
-
     def test_residual_detects_wrong_solution(self):
         rng = np.random.default_rng(25)
         E, A = random_dissipative(rng, 6)

@@ -95,7 +95,6 @@ class TestBasisConstruction:
         b = build_basis(dists, 3)
         assert b.indices[0] == (0, 0, 0)
         assert b.m == basis_count(3, 3)
-        assert b.index_position((0, 0, 0)) == 0
         grades = [sum(i) for i in b.indices]
         assert grades == sorted(grades)
 
@@ -127,7 +126,7 @@ class TestEvalBasis:
         b = build_basis(dists, 2)
         mu = np.array([0.3, -0.7])
         s = eval_basis(b, mu)
-        pos = b.index_position((1, 1))
+        pos = b.indices.index((1, 1))
         assert_allclose(s[pos], np.sqrt(3) * 0.3 * (-0.7), rtol=1e-14)
 
     def test_orthonormality_by_quadrature(self):

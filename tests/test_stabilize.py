@@ -7,7 +7,6 @@ from sgmor import (
     AffineParamSystem,
     Distribution,
     FrequencyRule,
-    RegularizationParams,
     StabilizationOutcome,
     arnoldi,
     assemble,
@@ -70,12 +69,6 @@ def stable_family(rng, n, q, margin=0.5, part_scale=0.05):
 
 
 class TestRegularization:
-    def test_params(self):
-        p = RegularizationParams(1e-3)
-        assert p.alpha == 1e-6
-        with pytest.raises(ValueError):
-            RegularizationParams(0.0)
-
     def test_formula(self):
         rng = np.random.default_rng(31)
         E = rng.standard_normal((4, 4))
@@ -83,6 +76,14 @@ class TestRegularization:
         Er, Ar = regularize(E, A, beta=1e-3)
         assert_allclose(Er, E - 1e-6 * A, rtol=1e-14)
         assert_allclose(Ar, A + 1e-3 * E, rtol=1e-14)
+
+    def test_nonpositive_beta_rejected(self):
+        aps = stable_family(np.random.default_rng(30), 3, 1)
+        for beta in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="beta"):
+                regularize(np.eye(2), -np.eye(2), beta=beta)
+            with pytest.raises(ValueError, match="beta"):
+                regularize_affine(aps, beta=beta)
 
     def test_removes_infinite_modes(self):
         beta = 1e-5

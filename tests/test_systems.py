@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -10,14 +13,16 @@ from sgmor import (
     FrequencyRule,
     H2DivergenceError,
     LTISystem,
+    arnoldi,
     eval_at,
+    freq_projection,
     h2_norm,
     h2_relative_error,
     is_asymptotically_stable,
     is_dissipative,
     pencil_spectrum,
+    shifted_solver,
     spectral_abscissa,
-    time_domain_error_bound,
     transfer_eval,
     transfer_on_grid,
 )
@@ -214,6 +219,40 @@ class TestTransfer:
             transfer_eval(sys, 2.0)
 
 
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_shifted_solver(sparse):
+    fmt = sp.csr_matrix if sparse else np.asarray
+    # E singular with a zero row in A as well: s E - A is singular at every s
+    E_sing, A_sing = fmt(np.diag([1.0, 1.0, 0.0])), fmt(np.diag([-1.0, -2.0, 0.0]))
+    sys = LTISystem(E=E_sing, A=A_sing, B=np.ones((3, 1)), C=np.ones((1, 3)))
+    rule = FrequencyRule.gauss(8)
+    node = 1j * rule.half()[0][0]
+    calls = [
+        (0.5 + 2j, lambda: transfer_eval(sys, 0.5 + 2j)),
+        (0.7, lambda: arnoldi(E_sing, A_sing, np.ones((3, 1)), 0.7, 2)),
+        (node, lambda: freq_projection(E_sing, A_sing, np.eye(3), np.ones((3, 1)), rule)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", sla.LinAlgWarning)
+        for s, call in calls:
+            with pytest.raises(ValueError, match=re.escape(str(s))):
+                call()
+
+    rng = np.random.default_rng(33)
+    E = rng.standard_normal((6, 6))
+    A = rng.standard_normal((6, 6))
+    rhs = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    s = 0.3 + 1.1j
+    K = s * E - A
+    solve = shifted_solver(fmt(E), fmt(A), s)
+    assert_allclose(solve(rhs), np.linalg.solve(K, rhs), rtol=1e-12)
+    assert_allclose(solve(rhs, adjoint=True), np.linalg.solve(K.conj().T, rhs),
+                    rtol=1e-12)
+    x = shifted_solver(fmt(E), fmt(A), 0.7)(rhs.real)
+    assert np.isrealobj(x)
+    assert_allclose(x, np.linalg.solve(0.7 * E - A, rhs.real), rtol=1e-12)
+
+
 class TestH2Norm:
     def test_scalar_oracle(self):
         # ||1 / (s + 1)||_H2 = 1 / sqrt(2)
@@ -285,6 +324,3 @@ class TestRelativeError:
         with pytest.raises(ValueError):
             h2_relative_error(f, r)
 
-
-def test_time_domain_bound_is_product():
-    assert time_domain_error_bound(3.0, 2.0) == 6.0
