@@ -7,8 +7,6 @@ M = (1/2pi) int (i w E - A)^-H F (i w E - A)^-1 dw, which is what the
 stabilizing projection matrices are built from.
 """
 
-import warnings
-
 import numpy as np
 import scipy.linalg as sla
 
@@ -40,10 +38,10 @@ def solve_lyap_direct(E, A, F, check_stability: bool = True) -> np.ndarray:
         if spectrum.abscissa >= 0:
             raise ValueError(
                 f"pencil is not asymptotically stable (abscissa {spectrum.abscissa:.3e})")
-    with warnings.catch_warnings():
-        # the diagonal test below reports singular E as a ValueError instead
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(Ed)
+    # raw getrf, not lu_factor, so a zero pivot emits no LinAlgWarning; the
+    # diagonal test below rejects it together with near-zero pivots
+    getrf = sla.get_lapack_funcs("getrf", (Ed,))
+    lu, piv, _ = getrf(Ed)
     diag = np.abs(np.diag(lu))
     if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
         raise ValueError("E is numerically singular")

@@ -1,4 +1,6 @@
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -251,6 +253,47 @@ def test_shifted_solver(sparse):
     x = shifted_solver(fmt(E), fmt(A), 0.7)(rhs.real)
     assert np.isrealobj(x)
     assert_allclose(x, np.linalg.solve(0.7 * E - A, rhs.real), rtol=1e-12)
+
+    # a zero diagonal entry coupled to one state, like BPF's source-current
+    # row: the symmetric-mode pivot must leave the diagonal there
+    E = np.diag(np.r_[rng.uniform(1.0, 2.0, 5), 0.0])
+    A = -np.eye(6) + np.diag(rng.standard_normal(5), 1) + np.diag(rng.standard_normal(5), -1)
+    A[5, :] = A[:, 5] = 0.0
+    A[0, 5] = A[5, 0] = 1.0
+    K = s * E - A
+    assert K[5, 5] == 0.0
+    solve = shifted_solver(fmt(E), fmt(A), s)
+    assert_allclose(solve(rhs), np.linalg.solve(K, rhs), rtol=1e-12)
+    assert_allclose(solve(rhs, adjoint=True), np.linalg.solve(K.conj().T, rhs),
+                    rtol=1e-12)
+
+
+def test_solves_leave_warning_registry_alone():
+    # A warning issued from one place prints once, however many solves run
+    # between its repeats.  Run in a fresh interpreter so that pytest's own
+    # warning capture does not decide what gets printed.
+    script = """
+import warnings
+import numpy as np
+import scipy.sparse as sp
+from sgmor import shifted_solver
+from sgmor.lyapunov import solve_lyap_direct
+
+def probe():
+    warnings.warn("probe warning", UserWarning)
+
+A = -2.0 * np.eye(4) + np.diag(np.ones(3), 1)
+for _ in range(3):
+    probe()
+    shifted_solver(np.eye(4), A, 1j)(np.ones(4))
+    shifted_solver(sp.eye(4, format="csc"), sp.csc_matrix(A), 1j)(np.ones(4))
+    shifted_solver(sp.eye(4, format="csc"), sp.csc_matrix(A), 0.5)(np.ones(4))
+    solve_lyap_direct(np.eye(4), A, np.eye(4))
+"""
+    proc = subprocess.run([sys.executable, "-W", "default", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("probe warning") == 1, proc.stderr
 
 
 class TestH2Norm:
