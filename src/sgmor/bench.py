@@ -33,7 +33,6 @@ from .systems import AffineParamSystem
 MSD_MASSES = (1.1, 0.9, 1.2, 0.8, 1.0)
 MSD_SPRINGS = (1.5, 0.9, 1.2, 1.1, 0.8, 0.6, 0.7)
 MSD_DAMPERS = (0.08, 0.06, 0.09, 0.07, 0.05)
-MSD_EXPANSION = 0.7
 
 # Band-pass ladder nominals: resonators near 1e5 rad/s, one ohm image
 # impedance, small series loss in every inductor branch.  The passband sits
@@ -47,8 +46,6 @@ BPF_SOURCE_G = 1.0
 BPF_LOAD_G = 1.0
 BPF_SERIES_LOSS = (25.0, 25.0, 25.0)
 BPF_SHUNT_LOSS = (25.0, 25.0, 25.0, 25.0)
-BPF_EXPANSION = 1.0e6
-BPF_OMEGA_SCALE = 1.0e5
 
 
 @dataclass(frozen=True)
@@ -298,15 +295,30 @@ def build_bandpass(cfg: BpfConfig | None = None) -> AffineParamSystem:
     )
 
 
+# Builder and pipeline defaults of each family; RunConfig fills its unset
+# MODEL_FIELDS from here.  The error grid (omega_scale) resolves the
+# passband; the technique-i quadrature (stab_scale) uses the expansion-point
+# scale, which also covers the broadband part of the Lyapunov integrand of a
+# regularized differential-algebraic family.  beta None: not regularized.
+MODELS = {
+    "msd": dict(build=build_msd, expansion_point=0.7, omega_scale=1.0,
+                stab_scale=1.0, beta=None),
+    "bpf": dict(build=build_bandpass, expansion_point=1.0e6, omega_scale=1.0e5,
+                stab_scale=1.0e6, beta=DEFAULT_BETA),
+}
+MODEL_FIELDS = ("expansion_point", "omega_scale", "stab_scale", "beta")
+
+
 @dataclass
 class RunConfig:
-    """Configuration of one end-to-end reduction run."""
+    """Configuration of one end-to-end reduction run; None MODEL_FIELDS
+    take the model's defaults from MODELS."""
 
     model: str = "msd"
     degree: int = 1
     technique: str = "none"
     nodes: int = 64
-    quad_nodes: int = 100
+    quad_nodes: int | None = None
     r_max: int = 30
     expansion_point: float | None = None
     beta: float | None = None
@@ -318,8 +330,8 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.model not in ("msd", "bpf"):
-            raise ValueError("model must be 'msd' or 'bpf'")
+        if self.model not in MODELS:
+            raise ValueError(f"model must be one of {', '.join(MODELS)}")
         if self.technique not in ("none", "i", "ii", "iii"):
             raise ValueError("technique must be one of none, i, ii, iii")
         if self.degree < 0:
@@ -328,8 +340,11 @@ class RunConfig:
             raise ValueError("r_max must be positive")
         if self.nodes < 2 or self.error_nodes < 2:
             raise ValueError("node counts must be at least 2")
-        if self.quad_nodes < 1:
+        if self.quad_nodes is not None and self.quad_nodes < 1:
             raise ValueError("quad_nodes must be positive")
+        for name in MODEL_FIELDS:
+            if getattr(self, name) is None:
+                setattr(self, name, MODELS[self.model][name])
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -340,29 +355,49 @@ class RunConfig:
         return RunConfig(**d)
 
 
-def _model_pieces(cfg: RunConfig):
-    """Family, expansion point, grid scales, and regularization for a model.
+def project(cfg: RunConfig):
+    """The family of cfg.model, regularized when cfg.beta is set, its chaos
+    basis of cfg.degree, and the projected system; returns (aps, basis, gal)."""
+    aps = MODELS[cfg.model]["build"]()
+    if cfg.beta is not None:
+        aps = regularize_affine(aps, cfg.beta)
+    basis = build_basis(aps.dists, cfg.degree)
+    return aps, basis, assemble(aps, basis)
 
-    The error grids resolve the passband; the stabilizing quadrature uses
-    the expansion-point scale, which also covers the broadband part of the
-    Lyapunov integrand of a regularized differential-algebraic family.
+
+def stabilized_basis(cfg: RunConfig, timings: dict):
+    """Projection, Krylov basis and stabilizing technique of one run.
+
+    Returns (gal, arn, outcome): the projected system, the Arnoldi basis of
+    the system that is reduced (the re-assembled one under technique ii),
+    and the StabilizationOutcome, None for technique "none".  Wall times of
+    the assemble, arnoldi and stabilize stages go into timings.
     """
-    if cfg.model == "msd":
-        aps = build_msd()
-        s0 = MSD_EXPANSION if cfg.expansion_point is None else cfg.expansion_point
-        scale = 1.0 if cfg.omega_scale is None else cfg.omega_scale
-        stab = scale if cfg.stab_scale is None else cfg.stab_scale
-        beta = cfg.beta
-        if beta is not None:
-            aps = regularize_affine(aps, beta)
-        return aps, s0, scale, stab, beta
-    aps = build_bandpass()
-    s0 = BPF_EXPANSION if cfg.expansion_point is None else cfg.expansion_point
-    scale = BPF_OMEGA_SCALE if cfg.omega_scale is None else cfg.omega_scale
-    stab = BPF_EXPANSION if cfg.stab_scale is None else cfg.stab_scale
-    beta = DEFAULT_BETA if cfg.beta is None else cfg.beta
-    aps = regularize_affine(aps, beta)
-    return aps, s0, scale, stab, beta
+    t0 = time.perf_counter()
+    aps, basis, gal = project(cfg)
+    timings["assemble"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    outcome = None
+    if cfg.technique == "ii":
+        # m samples for m chaos polynomials can suffice, but over 20 seeds at
+        # degree 2 the chaos Gram matrix's lambda_min / lambda_max fell to
+        # 1.8e-9 at m samples, 20x from the refusal, and stayed above 2e-2 at 2 m
+        n_quad = cfg.quad_nodes or max(100, 2 * basis.m)
+        quad = monte_carlo_rule(aps.dists, n_quad, seed=cfg.seed)
+        outcome = technique_ii(aps, basis, quad)
+    reduced = gal if outcome is None else outcome.transformed
+    t1 = time.perf_counter()
+    arn = arnoldi(reduced.E, reduced.A, reduced.B, cfg.expansion_point, cfg.r_max)
+    t2 = time.perf_counter()
+    if cfg.technique == "i":
+        rule = FrequencyRule.gauss(cfg.nodes, omega_scale=cfg.stab_scale)
+        outcome = technique_i(gal, arn.V, rule=rule)
+    elif cfg.technique == "iii":
+        outcome = technique_iii(gal, aps, arn.V)
+    timings["arnoldi"] = t2 - t1
+    timings["stabilize"] = (t1 - t0) + (time.perf_counter() - t2)
+    return gal, arn, outcome
 
 
 def run_experiment(cfg: RunConfig) -> dict:
@@ -376,53 +411,23 @@ def run_experiment(cfg: RunConfig) -> dict:
     """
     t_start = time.perf_counter()
     timings = {}
+    gal, arn, outcome = stabilized_basis(cfg, timings)
 
-    t0 = time.perf_counter()
-    aps, s0, omega_scale, stab_scale, beta = _model_pieces(cfg)
-    basis = build_basis(aps.dists, cfg.degree)
-    gal = assemble(aps, basis)
-    timings["assemble"] = time.perf_counter() - t0
+    fom, error_reference = gal.as_lti(), None
+    if outcome is not None and outcome.transformed is not None:
+        fom, error_reference = outcome.transformed.as_lti(), fom
+    W = None if outcome is None else outcome.W
+    diag = {} if outcome is None else outcome.diagnostics
 
-    t0 = time.perf_counter()
-    arn = arnoldi(gal.E, gal.A, gal.B, s0, cfg.r_max)
-    timings["arnoldi"] = time.perf_counter() - t0
-
-    fom = gal.as_lti()
-    error_reference = None
-    V = arn.V
-    W = None
-    diag = {}
-
-    t0 = time.perf_counter()
-    if cfg.technique == "i":
-        rule = FrequencyRule.gauss(cfg.nodes, omega_scale=stab_scale)
-        outcome = technique_i(gal, V, rule=rule)
-        W = outcome.W
-        diag = outcome.diagnostics
-    elif cfg.technique == "ii":
-        quad = monte_carlo_rule(aps.dists, cfg.quad_nodes, seed=cfg.seed)
-        outcome = technique_ii(aps, basis, quad)
-        gal_t = outcome.transformed
-        arn = arnoldi(gal_t.E, gal_t.A, gal_t.B, s0, cfg.r_max)
-        V = arn.V
-        error_reference = fom
-        fom = gal_t.as_lti()
-        diag = outcome.diagnostics
-    elif cfg.technique == "iii":
-        outcome = technique_iii(gal, aps, V)
-        W = outcome.W
-        diag = outcome.diagnostics
-    timings["stabilize"] = time.perf_counter() - t0
-
-    r_list = list(range(1, min(cfg.r_max, V.shape[1]) + 1))
+    r_list = list(range(1, min(cfg.r_max, arn.V.shape[1]) + 1))
     freq_rule = None
     if cfg.with_errors:
-        freq_rule = FrequencyRule.gauss(cfg.error_nodes, omega_scale=omega_scale)
+        freq_rule = FrequencyRule.gauss(cfg.error_nodes, omega_scale=cfg.omega_scale)
     t0 = time.perf_counter()
-    report = stability_sweep(fom, V, r_list, W_full=W, freq_rule=freq_rule,
+    report = stability_sweep(fom, arn.V, r_list, W_full=W, freq_rule=freq_rule,
                              error_reference=error_reference,
                              provenance={"technique": cfg.technique,
-                                         "expansion_point": s0})
+                                         "expansion_point": cfg.expansion_point})
     timings["sweep"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
 
@@ -433,9 +438,9 @@ def run_experiment(cfg: RunConfig) -> dict:
         "blocks": gal.m,
         "state_dim": gal.n,
         "outputs": gal.n_out,
-        "expansion_point": s0,
-        "omega_scale": omega_scale,
-        "beta": beta,
+        "expansion_point": cfg.expansion_point,
+        "omega_scale": cfg.omega_scale,
+        "beta": cfg.beta,
         "technique": cfg.technique,
         "basis_breakdown": arn.breakdown,
         "n_stable": report.n_stable,

@@ -274,21 +274,10 @@ def regularization_commutes(aps: AffineParamSystem, basis: PCBasis,
     E2, A2 = regularize(gal_plain.E, gal_plain.A, b2)
 
     def rel_max_diff(X, Y):
-        D = (X - Y).tocoo() if sp.issparse(X) else np.asarray(X - Y)
-        diff = np.abs(D.data).max() if sp.issparse(X) and D.nnz else (
-            0.0 if sp.issparse(X) else np.abs(D).max())
-        scale = max(_spnorm(X), _spnorm(Y), 1e-300)
-        return diff / scale
+        return abs(X - Y).max() / max(abs(X).max(), abs(Y).max(), 1e-300)
 
     dE = rel_max_diff(gal_first.E, E2)
     dA = rel_max_diff(gal_first.A, A2)
     return CommutationReport(equal=bool(dE <= tol and dA <= tol),
                              max_diff_E=float(dE), max_diff_A=float(dA), tol=tol)
 
-
-def _spnorm(X) -> float:
-    if sp.issparse(X):
-        data = X.tocoo().data
-        return float(np.abs(data).max()) if data.size else 0.0
-    X = np.asarray(X)
-    return float(np.abs(X).max()) if X.size else 0.0

@@ -163,6 +163,14 @@ class TestRunConfig:
         assert cfg.model == "msd"
         assert cfg.technique == "none"
         assert cfg.r_max == 30
+        assert cfg.quad_nodes is None
+        resolved = ("expansion_point", "omega_scale", "stab_scale", "beta")
+        assert [getattr(cfg, k) for k in resolved] == [0.7, 1.0, 1.0, None]
+        bpf = RunConfig(model="bpf")
+        assert [getattr(bpf, k) for k in resolved] == [1.0e6, 1.0e5, 1.0e6, 1e-5]
+        # a field that is set is kept; only the unset ones come from the table
+        cfg = RunConfig(model="bpf", expansion_point=2.0e6, beta=1e-6)
+        assert (cfg.expansion_point, cfg.omega_scale, cfg.beta) == (2.0e6, 1.0e5, 1e-6)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -207,6 +215,15 @@ class TestRunExperiment:
         assert "margin" in result["diagnostics"]
         assert result["diagnostics"]["mu_star"] == list(build_msd().nominal())
         assert result["n_stable"] == 3
+
+    def test_technique_ii_node_count_follows_the_basis(self):
+        # 2 m = 342 samples for the m = 171 polynomials of degree 2; a fixed
+        # count of 100 gives a singular chaos Gram matrix and is refused
+        cfg = RunConfig(model="msd", degree=2, technique="ii", with_errors=False)
+        result = run_experiment(cfg)
+        assert result["diagnostics"]["nodes"] == 342
+        assert result["unstable_orders"] == []
+        assert len(result["rows"]) == 30
 
     def test_degree_zero_collapses_to_mean_system(self):
         cfg = RunConfig(model="msd", degree=0, technique="none", r_max=3,

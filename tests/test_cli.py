@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from sgmor import LTISystem, load_system, save_system, stability_sweep
+from sgmor import LTISystem, RunConfig, load_system, save_system, stability_sweep
 from sgmor.cli import main
 
 
@@ -58,6 +58,33 @@ class TestAssembleReduce:
         assert lines[0] == "r,stable,abscissa,rel_h2_error"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("model", ["msd", "bpf"])
+    def test_reduce_uses_the_recorded_model_defaults(self, capsys, tmp_path, model):
+        # assemble records the model's expansion point and error-grid scale,
+        # so reduce without scale flags repeats sgmor bench's sweep
+        assert main(["assemble", "--model", model, "--out", str(tmp_path / "fom")]) == 0
+        _, extra = load_system(tmp_path / "fom")
+        cfg = RunConfig(model=model)
+        for key in ("expansion_point", "omega_scale", "stab_scale", "beta"):
+            assert extra[key] == getattr(cfg, key)
+        assert main(["reduce", "--manifest", str(tmp_path / "fom"), "--rmax", "12",
+                     "--out", str(tmp_path / "red")]) == 0
+        assert main(["bench", model, "--degree", "1", "--rmax", "12",
+                     "--out", str(tmp_path / "bench")]) == 0
+        assert ((tmp_path / "red" / "sweep.csv").read_bytes()
+                == (tmp_path / "bench" / "sweep.csv").read_bytes())
+
+    def test_reduce_without_a_record_needs_an_expansion_point(self, capsys, tmp_path):
+        main(["assemble", "--model", "msd", "--degree", "0", "--out", str(tmp_path / "g")])
+        fom, _ = load_system(tmp_path / "g")
+        save_system(fom, tmp_path / "plain")
+        with pytest.raises(SystemExit, match="--expansion-point"):
+            main(["reduce", "--manifest", str(tmp_path / "plain"), "--rmax", "3",
+                  "--out", str(tmp_path / "red")])
+        assert main(["reduce", "--manifest", str(tmp_path / "plain"), "--rmax", "3",
+                     "--expansion-point", "0.7", "--no-errors",
+                     "--out", str(tmp_path / "red")]) == 0
+
     def test_assemble_degree_one_dimension(self, capsys, tmp_path):
         code = main(["assemble", "--model", "msd", "--degree", "1",
                      "--out", str(tmp_path / "g")])
@@ -108,6 +135,21 @@ class TestH2ErrorCommand:
         out = capsys.readouterr().out
         value = float(out.split(":")[1])
         np.testing.assert_allclose(value, np.sqrt(1.0 / 6.0), rtol=1e-6)
+
+
+    def test_scale_from_the_fom_record(self, capsys, tmp_path):
+        # two regularization shifts of the filter: the recorded passband
+        # scale 1e5 is used unless --omega-scale says otherwise
+        for name, beta in (("a", "1e-6"), ("b", "1e-5")):
+            main(["assemble", "--model", "bpf", "--degree", "0", "--beta", beta,
+                  "--out", str(tmp_path / name)])
+        values = []
+        for flags in ([], ["--omega-scale", "1e5"], ["--omega-scale", "1"]):
+            capsys.readouterr()
+            assert main(["h2error", "--fom", str(tmp_path / "a"), "--rom",
+                         str(tmp_path / "b"), "--nodes", "400", *flags]) == 0
+            values.append(float(capsys.readouterr().out.split(":")[1]))
+        assert values[0] == values[1] != values[2]
 
 
 class TestArgumentErrors:
