@@ -15,9 +15,9 @@ from .systems import (AffineParamSystem, DissipativityCheck,
                       H2DivergenceError, LTISystem, PencilSpectrum, eval_at,
                       h2_norm, h2_relative_error, is_asymptotically_stable,
                       is_dissipative, pencil_spectrum, shifted_solver,
-                      spectral_abscissa, transfer_eval, transfer_on_grid)
+                      transfer_eval, transfer_on_grid)
 from .galerkin import (GalerkinSystem, assemble, assemble_output,
-                       assemble_via_quadrature, expand_qoi, qoi_stats)
+                       assemble_via_quadrature)
 from .lyapunov import freq_projection, lyap_residual, solve_lyap_direct
 from .stabilize import (CommutationReport, StabilizationOutcome,
                         regularization_commutes, regularize,

@@ -425,9 +425,7 @@ def run_experiment(cfg: RunConfig) -> dict:
         freq_rule = FrequencyRule.gauss(cfg.error_nodes, omega_scale=cfg.omega_scale)
     t0 = time.perf_counter()
     report = stability_sweep(fom, arn.V, r_list, W_full=W, freq_rule=freq_rule,
-                             error_reference=error_reference,
-                             provenance={"technique": cfg.technique,
-                                         "expansion_point": cfg.expansion_point})
+                             error_reference=error_reference)
     timings["sweep"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
 

@@ -12,11 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .pce import PCBasis, QuadratureRule, eval_basis, moment_matrix
-from .systems import AffineParamSystem, LTISystem, _as_dense
-
-# A quadrature rule is refused when the smallest eigenvalue of its chaos Gram
-# matrix is at most this fraction of the largest.
-DEFINITENESS_RTOL = 1e-10
+from .systems import DEFINITENESS_RTOL, AffineParamSystem, LTISystem, _as_dense
 
 # Budget for the intermediates of one chunk of _weighted_kron_sum.
 _CHUNK_BYTES = 8 * 2 ** 20
@@ -189,25 +185,3 @@ def assemble_via_quadrature(matrix_fn, basis: PCBasis, rule: QuadratureRule,
         C = np.zeros((0, m * n))
     return GalerkinSystem(E=E_hat, A=A_hat, B=B_hat, C=C, m=m, n=n,
                           provenance=provenance)
-
-
-def qoi_stats(w_hat, basis: PCBasis | None = None):
-    """Mean and variance encoded by one output's chaos coefficients.
-
-    For an orthonormal basis with leading constant polynomial the mean is the
-    first coefficient and the variance the sum of squares of the rest.
-    """
-    w_hat = np.asarray(w_hat, dtype=float).ravel()
-    if basis is not None and w_hat.size != basis.m:
-        raise ValueError(f"expected {basis.m} coefficients, got {w_hat.size}")
-    mean = float(w_hat[0])
-    var = float(np.dot(w_hat[1:], w_hat[1:]))
-    return mean, var
-
-
-def expand_qoi(basis: PCBasis, w_hat, mu) -> float:
-    """Evaluate the chaos expansion sum_i w_i Phi_i(mu) at one point."""
-    w_hat = np.asarray(w_hat, dtype=float).ravel()
-    if w_hat.size != basis.m:
-        raise ValueError(f"expected {basis.m} coefficients, got {w_hat.size}")
-    return float(np.dot(w_hat, eval_basis(basis, mu)))

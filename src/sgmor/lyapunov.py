@@ -11,7 +11,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .frequency import FrequencyRule, default_rule
-from .systems import _as_dense, _pencil, pencil_spectrum, shifted_solver
+# pencil_spectrum is unused here; perfbench/tracer.py wraps it by this attribute
+from .systems import _as_dense, _pencil, pencil_spectrum, shifted_solver  # noqa: F401
 
 __all__ = [
     "FrequencyRule", "default_rule", "solve_lyap_direct", "freq_projection",
@@ -19,12 +20,15 @@ __all__ = [
 ]
 
 
-def solve_lyap_direct(E, A, F, check_stability: bool = True) -> np.ndarray:
+def solve_lyap_direct(E, A, F) -> np.ndarray:
     """Dense solve of A^T M E + E^T M A + F = 0; returns symmetric M.
 
-    Requires E nonsingular and, unless check_stability is disabled, verifies
-    that the pencil (E, A) is asymptotically stable before factorizing.
-    With F symmetric positive definite the solution M is symmetric positive
+    Requires E nonsingular and the pencil (E, A) asymptotically stable.  One
+    real Schur form T = Z^T (A E^-1)^T Z serves both: its diagonal carries
+    the real parts of the pencil eigenvalues (a complex pair's 2x2 block has
+    its real part on both diagonal entries), and the Bartels-Stewart step
+    solves T Y + Y T^T = Z^T (-E^-T F E^-1) Z with LAPACK trsyl.  With F
+    symmetric positive definite the solution M is symmetric positive
     definite as well.
     """
     Ed, Ad, Fd = _as_dense(E), _as_dense(A), _as_dense(F)
@@ -33,11 +37,6 @@ def solve_lyap_direct(E, A, F, check_stability: bool = True) -> np.ndarray:
         raise ValueError("E, A, F must be square and equally sized")
     if np.linalg.norm(Fd - Fd.T) > 1e-10 * max(np.linalg.norm(Fd), 1e-300):
         raise ValueError("F must be symmetric")
-    if check_stability:
-        spectrum = pencil_spectrum(Ed, Ad)
-        if spectrum.abscissa >= 0:
-            raise ValueError(
-                f"pencil is not asymptotically stable (abscissa {spectrum.abscissa:.3e})")
     # raw getrf, not lu_factor, so a zero pivot emits no LinAlgWarning; the
     # diagonal test below rejects it together with near-zero pivots
     getrf = sla.get_lapack_funcs("getrf", (Ed,))
@@ -47,8 +46,18 @@ def solve_lyap_direct(E, A, F, check_stability: bool = True) -> np.ndarray:
         raise ValueError("E is numerically singular")
     # reduce to an ordinary Lyapunov equation in At = A E^-1
     At = sla.lu_solve((lu, piv), Ad.T, trans=1).T
+    T, Z = sla.schur(At.T, output="real")
+    abscissa = float(np.diag(T).max())
+    if abscissa >= 0:
+        raise ValueError(
+            f"pencil is not asymptotically stable (abscissa {abscissa:.3e})")
     Ft = sla.lu_solve((lu, piv), sla.lu_solve((lu, piv), Fd.T, trans=1).T, trans=1)
-    M = sla.solve_continuous_lyapunov(At.T, -Ft)
+    trsyl = sla.get_lapack_funcs("trsyl", (T,))
+    Y, scale, info = trsyl(T, T, Z.T @ (-Ft @ Z), tranb="T")
+    if info != 0:
+        raise ValueError(f"Lyapunov solve failed (trsyl info {info})")
+    Y *= scale
+    M = Z @ Y @ Z.T
     return 0.5 * (M + M.T)
 
 

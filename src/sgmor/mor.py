@@ -9,10 +9,9 @@ optionally attaches relative H2 errors, emitting a CSV-ready report.
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .frequency import FrequencyRule
 from .systems import (LTISystem, _as_dense, _weighted_energy, pencil_spectrum,
@@ -33,13 +32,12 @@ class ArnoldiResult:
         return self.V.shape[1]
 
 
-def arnoldi(E, A, B, s0: float, r_max: int,
-            breakdown_rtol: float = BREAKDOWN_RTOL) -> ArnoldiResult:
+def arnoldi(E, A, B, s0: float, r_max: int) -> ArnoldiResult:
     """Orthonormal basis of the Krylov space of (s0 E - A)^-1 E started at
     (s0 E - A)^-1 B, for single-input B.
 
     Modified Gram-Schmidt with one reorthogonalization pass; a candidate
-    direction with norm below breakdown_rtol times the first column's
+    direction with norm below BREAKDOWN_RTOL times the first column's
     unnormalized norm stops the iteration and the basis built so far is
     returned with the breakdown flag set.
     """
@@ -63,7 +61,7 @@ def arnoldi(E, A, B, s0: float, r_max: int,
             for i in range(j):
                 w -= (V[:, i] @ w) * V[:, i]
         nrm = np.linalg.norm(w)
-        if nrm < breakdown_rtol * ref_norm:
+        if nrm < BREAKDOWN_RTOL * ref_norm:
             return ArnoldiResult(V=V[:, :j].copy(), breakdown=True)
         V[:, j] = w / nrm
     return ArnoldiResult(V=V, breakdown=False)
@@ -100,14 +98,12 @@ class ProjectionPair:
 
 @dataclass(eq=False)
 class ReducedSystem:
-    """Dense reduced-order model with its projection provenance."""
+    """Dense reduced-order model."""
 
     E: np.ndarray
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    provenance: dict = field(default_factory=dict)
-    e_illconditioned: bool = False
 
     @property
     def r(self) -> int:
@@ -117,13 +113,8 @@ class ReducedSystem:
         return LTISystem(E=self.E, A=self.A, B=self.B, C=self.C)
 
 
-def reduce(fom: LTISystem, pair: ProjectionPair, provenance: dict | None = None) -> ReducedSystem:
-    """Petrov-Galerkin reduction W^T (E, A, B) V with output C V.
-
-    The reduced E is checked for near rank deficiency (smallest singular
-    value relative to largest); a deficiency is flagged, not raised, since
-    descriptor reduced models can still be meaningful.
-    """
+def reduce(fom: LTISystem, pair: ProjectionPair) -> ReducedSystem:
+    """Petrov-Galerkin reduction W^T (E, A, B) V with output C V."""
     V = pair.V
     W = pair.left()
     if V.shape[0] != fom.n:
@@ -132,12 +123,7 @@ def reduce(fom: LTISystem, pair: ProjectionPair, provenance: dict | None = None)
     WA = W.T @ np.asarray(fom.A @ V)
     WB = W.T @ _as_dense(fom.B)
     CV = np.asarray(fom.C @ V)
-    sv = sla.svdvals(WE)
-    ill = bool(sv[-1] <= 1e-12 * max(sv[0], 1e-300))
-    prov = dict(provenance or {})
-    prov.setdefault("r", V.shape[1])
-    return ReducedSystem(E=WE, A=WA, B=WB, C=CV, provenance=prov,
-                         e_illconditioned=ill)
+    return ReducedSystem(E=WE, A=WA, B=WB, C=CV)
 
 
 @dataclass(frozen=True)
@@ -185,8 +171,7 @@ class StabilityReport:
 
 def stability_sweep(fom: LTISystem, V_full, r_list, W_full=None,
                     freq_rule: FrequencyRule | None = None,
-                    error_reference: LTISystem | None = None,
-                    provenance: dict | None = None) -> StabilityReport:
+                    error_reference: LTISystem | None = None) -> StabilityReport:
     """Reduce at every order in r_list and classify stability.
 
     r_list must be strictly increasing and bounded by the Krylov basis width.
@@ -224,7 +209,7 @@ def stability_sweep(fom: LTISystem, V_full, r_list, W_full=None,
         Vr = V_full[:, :r]
         Wr = None if W_full is None else W_full[:, :r]
         try:
-            red = reduce(fom, ProjectionPair(V=Vr, W=Wr), provenance=provenance)
+            red = reduce(fom, ProjectionPair(V=Vr, W=Wr))
             spectrum = pencil_spectrum(red.E, red.A)
             stable = bool(spectrum.abscissa < 0)
             err = None

@@ -87,20 +87,6 @@ class Distribution:
         mean, std = self.params
         return rng.normal(mean, std, size)
 
-    def to_dict(self) -> dict:
-        if self.kind == "uniform":
-            return {"kind": "uniform", "a": self.params[0], "b": self.params[1]}
-        return {"kind": "gaussian", "mean": self.params[0], "stddev": self.params[1]}
-
-    @staticmethod
-    def from_dict(d: dict) -> "Distribution":
-        kind = d.get("kind")
-        if kind == "uniform":
-            return Distribution.uniform(d["a"], d["b"])
-        if kind == "gaussian":
-            return Distribution.gaussian(d["mean"], d["stddev"])
-        raise ValueError(f"unknown distribution kind {kind!r}")
-
 
 def basis_count(q: int, degree: int) -> int:
     """Number of multivariate basis polynomials: (degree + q)! / (degree! q!)."""

@@ -211,7 +211,9 @@ def _technique_iii_margin(gal: GalerkinSystem, M_star: np.ndarray) -> float:
     dim = gal.dim
     if dim < 2000:
         return float(sla.eigvalsh(S.toarray())[-1])
-    val = spla.eigsh(S, k=1, which="LA", return_eigenvectors=False)
+    # a fixed start vector makes ARPACK, and so the margin, reproducible
+    val = spla.eigsh(S, k=1, which="LA", v0=np.ones(dim),
+                     return_eigenvectors=False)
     return float(val[0])
 
 

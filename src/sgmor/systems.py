@@ -24,7 +24,8 @@ from .pce import Distribution
 # are classified as infinite.
 INFINITE_EIG_RTOL = 1e-12
 
-# Definiteness margin for the dissipativity test, relative to the matrix norm.
+# Definiteness margin relative to the matrix norm, for the dissipativity test
+# and for the chaos Gram matrix of a quadrature rule (galerkin).
 DEFINITENESS_RTOL = 1e-10
 
 # SuperLU options for a complex shifted pencil i w E - A.  The chaos pencil
@@ -178,11 +179,11 @@ class PencilSpectrum:
     n_infinite: int
 
 
-def pencil_spectrum(E, A, infinite_rtol: float = INFINITE_EIG_RTOL) -> PencilSpectrum:
+def pencil_spectrum(E, A) -> PencilSpectrum:
     """Generalized eigenvalues of (E, A) via the QZ decomposition.
 
     Eigenvalue pairs (alpha, beta) with |beta| below
-    infinite_rtol * max(||E||, ||A||) count as infinite.  A pair with both
+    INFINITE_EIG_RTOL * max(||E||, ||A||) count as infinite.  A pair with both
     components below that threshold signals a singular pencil and raises.
     """
     Ed = _as_dense(E)
@@ -192,7 +193,7 @@ def pencil_spectrum(E, A, infinite_rtol: float = INFINITE_EIG_RTOL) -> PencilSpe
         raise ValueError("E and A must be square and equally sized")
     alpha, beta = sla.eig(Ad, Ed, right=False, homogeneous_eigvals=True)
     scale = max(np.linalg.norm(Ed), np.linalg.norm(Ad), 1e-300)
-    tol = infinite_rtol * scale
+    tol = INFINITE_EIG_RTOL * scale
     tiny_beta = np.abs(beta) < tol
     tiny_alpha = np.abs(alpha) < tol
     if np.any(tiny_beta & tiny_alpha):
@@ -207,10 +208,6 @@ def pencil_spectrum(E, A, infinite_rtol: float = INFINITE_EIG_RTOL) -> PencilSpe
         has_infinite=n_infinite > 0,
         n_infinite=n_infinite,
     )
-
-
-def spectral_abscissa(E, A) -> float:
-    return pencil_spectrum(E, A).abscissa
 
 
 def is_asymptotically_stable(E, A, margin: float = 0.0) -> bool:
@@ -229,11 +226,12 @@ class DissipativityCheck:
         return self.ok
 
 
-def is_dissipative(E, A, rtol: float = DEFINITENESS_RTOL) -> DissipativityCheck:
+def is_dissipative(E, A) -> DissipativityCheck:
     """Test whether E is symmetric positive definite and A + A^T negative definite.
 
-    Definiteness is decided with a margin of rtol times the spectral norm of
-    the tested matrix, so numerically semidefinite cases fail the check.
+    Definiteness is decided with a margin of DEFINITENESS_RTOL times the
+    spectral norm of the tested matrix, so numerically semidefinite cases
+    fail the check.
     """
     Ed = _as_dense(E)
     Ad = _as_dense(A)
@@ -242,14 +240,14 @@ def is_dissipative(E, A, rtol: float = DEFINITENESS_RTOL) -> DissipativityCheck:
         return DissipativityCheck(ok=False, reason="E is not symmetric")
     lam_E = sla.eigvalsh(0.5 * (Ed + Ed.T))
     scale_E = max(np.abs(lam_E).max(), 1e-300)
-    if lam_E[0] <= rtol * scale_E:
+    if lam_E[0] <= DEFINITENESS_RTOL * scale_E:
         return DissipativityCheck(
             ok=False, reason="E is not positive definite",
             lambda_min_E=float(lam_E[0]))
     S = Ad + Ad.T
     lam_S = sla.eigvalsh(S)
     scale_S = max(np.abs(lam_S).max(), 1e-300)
-    if lam_S[-1] >= -rtol * scale_S:
+    if lam_S[-1] >= -DEFINITENESS_RTOL * scale_S:
         return DissipativityCheck(
             ok=False, reason="A + A^T is not negative definite",
             lambda_min_E=float(lam_E[0]), lambda_max_symA=float(lam_S[-1]))

@@ -14,9 +14,7 @@ from sgmor import (
     build_basis,
     eval_at,
     eval_basis,
-    expand_qoi,
     monte_carlo_rule,
-    qoi_stats,
     tensor_rule,
 )
 
@@ -235,36 +233,6 @@ class TestGramCheck:
         rule = QuadratureRule(nodes=np.full((2 * basis.m, 1), 0.9),
                               weights=np.full(2 * basis.m, 0.5 / basis.m))
         self._refuses(basis, rule)
-
-
-class TestQoi:
-    def test_stats(self):
-        mean, var = qoi_stats([2.0, 3.0, 4.0])
-        assert mean == 2.0
-        assert var == 25.0
-
-    def test_stats_length_checked(self):
-        basis = build_basis((Distribution.uniform(-1, 1),), 2)
-        with pytest.raises(ValueError):
-            qoi_stats([1.0, 2.0], basis=basis)
-
-    def test_stats_match_quadrature(self):
-        # chaos mean/variance against direct integration of the expansion
-        basis = build_basis((Distribution.uniform(-1.0, 1.0),), 3)
-        w_hat = np.array([0.5, -1.0, 0.25, 2.0])
-        mean, var = qoi_stats(w_hat, basis=basis)
-        x, w = np.polynomial.legendre.leggauss(8)
-        vals = np.array([expand_qoi(basis, w_hat, [mu]) for mu in x])
-        ref_mean = (w / 2.0) @ vals
-        ref_var = (w / 2.0) @ vals ** 2 - ref_mean ** 2
-        assert_allclose(mean, ref_mean, atol=1e-13)
-        assert_allclose(var, ref_var, rtol=1e-13)
-
-    def test_expand_at_point(self):
-        basis = build_basis((Distribution.uniform(-1.0, 1.0),), 1)
-        # w0 + w1 sqrt(3) mu at mu = 0.5
-        val = expand_qoi(basis, [1.0, 2.0], [0.5])
-        assert_allclose(val, 1.0 + 2.0 * np.sqrt(3.0) * 0.5, rtol=1e-14)
 
 
 class TestGalerkinSystem:

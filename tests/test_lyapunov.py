@@ -44,18 +44,15 @@ class TestDirectSolve:
         assert lyap_residual(E, A, F, M) < 1e-10
 
     def test_unstable_pencil_rejected(self):
-        E = np.eye(2)
-        A = np.diag([1.0, -2.0])
-        with pytest.raises(ValueError, match="stab"):
-            solve_lyap_direct(E, A, np.eye(2))
-        # opting out of the check still solves the algebraic equation
-        M = solve_lyap_direct(E, A, np.eye(2), check_stability=False)
-        assert lyap_residual(E, A, np.eye(2), M) < 1e-12
+        # a real unstable eigenvalue, and a right-half-plane complex pair
+        # 0.1 +- 1i that forms a 2x2 block of the real Schur form
+        for A in (np.diag([1.0, -2.0]), np.array([[0.1, 1.0], [-1.0, 0.1]])):
+            with pytest.raises(ValueError, match="stab"):
+                solve_lyap_direct(np.eye(2), A, np.eye(2))
 
     def test_singular_e_rejected(self):
         with pytest.raises(ValueError, match="singular"):
-            solve_lyap_direct(np.diag([1.0, 0.0]), -np.eye(2), np.eye(2),
-                              check_stability=False)
+            solve_lyap_direct(np.diag([1.0, 0.0]), -np.eye(2), np.eye(2))
 
     def test_asymmetric_f_rejected(self):
         F = np.array([[1.0, 0.4], [0.0, 1.0]])

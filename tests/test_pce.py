@@ -40,12 +40,6 @@ class TestDistribution:
         with pytest.raises(ValueError):
             Distribution.gaussian(0.0, -1.0)
 
-    def test_dict_roundtrip(self):
-        for d in (Distribution.uniform(-2.0, 5.0), Distribution.gaussian(1.0, 0.3)):
-            assert Distribution.from_dict(d.to_dict()) == d
-        with pytest.raises(ValueError):
-            Distribution.from_dict({"kind": "triangular", "params": [0, 1]})
-
     def test_gauss_points_weights_sum_to_one(self):
         for d in (Distribution.uniform(-1.0, 1.0), Distribution.gaussian(0.0, 1.0)):
             xi, w = d.gauss_points(7)

@@ -11,6 +11,7 @@ from sgmor import (
     arnoldi,
     assemble,
     build_basis,
+    build_bandpass,
     eval_at,
     is_asymptotically_stable,
     is_dissipative,
@@ -26,6 +27,7 @@ from sgmor import (
     technique_iii,
     theta_family,
 )
+from sgmor.stabilize import DEFAULT_BETA, _technique_iii_margin
 
 from _gen import random_dissipative, random_orthonormal, random_spd
 
@@ -323,3 +325,13 @@ class TestTechniqueIII:
         res = arnoldi(fom.E, fom.A, fom.B, r_max=3, s0=1.0)
         out = technique_iii(gal, aps, res.V, mu_star=[0.1, -0.1])
         assert out.diagnostics["mu_star"] == [0.1, -0.1]
+
+    def test_sparse_margin_reproducible(self):
+        # BPF degree 2 (dimension 6900) takes the eigsh branch; ARPACK with
+        # a random start vector differed in the last digits between calls
+        aps = regularize_affine(build_bandpass(), DEFAULT_BETA)
+        gal = assemble(aps, build_basis(aps.dists, 2))
+        at_mean = eval_at(aps, aps.nominal())
+        M_star = solve_lyap_direct(at_mean.E, at_mean.A, np.eye(aps.n))
+        first = _technique_iii_margin(gal, M_star)
+        assert _technique_iii_margin(gal, M_star) == first
