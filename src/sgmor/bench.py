@@ -443,6 +443,7 @@ def run_experiment(cfg: RunConfig) -> dict:
         "basis_breakdown": arn.breakdown,
         "n_stable": report.n_stable,
         "unstable_orders": report.unstable_orders,
+        "failed_orders": report.failed_orders,
         "diagnostics": {k: v for k, v in diag.items() if k != "seconds"},
         "timings": timings,
         "rows": [

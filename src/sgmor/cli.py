@@ -107,7 +107,8 @@ def _cmd_reduce(args) -> int:
     report.to_csv(out_dir / "sweep.csv")
     print(f"Krylov basis of rank {arn.rank}"
           + (" (breakdown)" if arn.breakdown else ""))
-    print(f"stable reduced models: {report.n_stable}/{len(report.rows)}")
+    print(f"stable reduced models: {report.n_stable}/{len(report.rows)}, "
+          f"failed: {len(report.failed_orders)}")
     print(f"wrote {out_dir / 'V.txt'} and {out_dir / 'sweep.csv'}")
     return 0
 

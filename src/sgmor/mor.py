@@ -147,7 +147,14 @@ class StabilityReport:
 
     @property
     def unstable_orders(self):
-        return [row.r for row in self.rows if not row.stable]
+        """Orders whose reduced pencil is not asymptotically stable; a failed
+        order (a row with a note) is not among them."""
+        return [row.r for row in self.rows if not row.stable and row.note is None]
+
+    @property
+    def failed_orders(self):
+        """Orders whose reduction or evaluation raised; the note says why."""
+        return [row.r for row in self.rows if row.note is not None]
 
     def to_csv(self, path=None):
         """Serialize as CSV with header r,stable,abscissa,rel_h2_error.
@@ -175,11 +182,21 @@ def stability_sweep(fom: LTISystem, V_full, r_list, W_full=None,
     """Reduce at every order in r_list and classify stability.
 
     r_list must be strictly increasing and bounded by the Krylov basis width.
+    The system is projected once, onto the first r_max = r_list[-1] columns
+    of V_full and W_full.  The model of order r is that projection's leading
+    block E[:r, :r], A[:r, :r], B[:r], C[:, :r], which is exactly the
+    projection onto the first r columns.
+
     With freq_rule given, relative H2 errors are computed on that shared grid
     against error_reference (the reduction target fom by default; pass the
     untransformed system when fom was re-assembled by a transformation).
-    The reference transfer function is evaluated once.  Failures at one
-    order are recorded in that row's note and the sweep continues.
+    The reference transfer function is evaluated once; each order's is one
+    transfer_on_grid call, which solves all grid points in one stacked call.
+
+    A failure of the r_max projection fails every row.  A failure at one
+    order (its QZ, or a singular reduced pencil on the grid) is recorded in
+    that row's note and the sweep continues.  Failed rows are listed in
+    failed_orders, not in unstable_orders.
     """
     V_full = np.atleast_2d(np.asarray(V_full, dtype=float))
     r_list = list(r_list)
@@ -204,21 +221,30 @@ def stability_sweep(fom: LTISystem, V_full, r_list, W_full=None,
         if den <= 0.0:
             raise ValueError("reference system has zero response on the error grid")
 
+    def failed(r, exc):
+        return SweepRow(r=r, stable=False, abscissa=float("nan"),
+                        rel_h2_error=None, note=str(exc))
+
+    r_max = r_list[-1]
+    try:
+        full = reduce(fom, ProjectionPair(
+            V=V_full[:, :r_max], W=None if W_full is None else W_full[:, :r_max]))
+    except Exception as exc:
+        return StabilityReport(rows=[failed(r, exc) for r in r_list])
+
     rows = []
     for r in r_list:
-        Vr = V_full[:, :r]
-        Wr = None if W_full is None else W_full[:, :r]
         try:
-            red = reduce(fom, ProjectionPair(V=Vr, W=Wr))
-            spectrum = pencil_spectrum(red.E, red.A)
+            rom = LTISystem(E=full.E[:r, :r], A=full.A[:r, :r], B=full.B[:r],
+                            C=full.C[:, :r])
+            spectrum = pencil_spectrum(rom.E, rom.A)
             stable = bool(spectrum.abscissa < 0)
             err = None
             if freq_rule is not None:
-                rom_vals = transfer_on_grid(red.as_lti(), omegas)
+                rom_vals = transfer_on_grid(rom, omegas)
                 err = float(np.sqrt(_weighted_energy(weights, fom_vals - rom_vals) / den))
             rows.append(SweepRow(r=r, stable=stable, abscissa=float(spectrum.abscissa),
                                  rel_h2_error=err))
         except Exception as exc:
-            rows.append(SweepRow(r=r, stable=False, abscissa=float("nan"),
-                                 rel_h2_error=None, note=str(exc)))
+            rows.append(failed(r, exc))
     return StabilityReport(rows=rows)

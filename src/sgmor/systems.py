@@ -37,6 +37,10 @@ DEFINITENESS_RTOL = 1e-10
 _COMPLEX_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
                      options=dict(SymmetricMode=True))
 
+# Bytes of stacked dense pencils (and their right-hand sides) that one
+# np.linalg.solve call in transfer_on_grid holds.
+_CHUNK_BYTES = 8 * 2 ** 20
+
 
 def _as_dense(X) -> np.ndarray:
     """X as a dense float array; dense input is not copied."""
@@ -318,14 +322,44 @@ def transfer_eval(sys: LTISystem, s: complex) -> np.ndarray:
 
 
 def transfer_on_grid(sys: LTISystem, omegas) -> np.ndarray:
-    """H(i omega) stacked over a frequency grid, shape (k, n_out, n_in)."""
-    E, A = _pencil(sys.E, sys.A)
-    B = _as_dense(sys.B).astype(complex)
-    C = _as_dense(sys.C).astype(complex)
-    omegas = np.asarray(omegas, dtype=float)
-    out = np.empty((omegas.size, sys.n_out, sys.n_in), dtype=complex)
-    for j, om in enumerate(omegas):
-        out[j] = C @ shifted_solver(E, A, 1j * om)(B)
+    """H(i omega) stacked over a frequency grid, shape (k, n_out, n_in).
+
+    A sparse C stays sparse (complex CSR).  A sparse pencil is factored once
+    per grid point through shifted_solver.  A dense pencil forms
+    i omega E - A for a chunk of points at once, as many as fit in
+    _CHUNK_BYTES (one point when a single pencil is larger), and solves the
+    chunk with one stacked np.linalg.solve.  A singular pencil or a
+    non-finite solution at any point raises ValueError naming that s.
+    """
+    s = 1j * np.asarray(omegas, dtype=float)
+    B = _as_dense(sys.B)
+    n, n_in = B.shape
+    out = np.empty((s.size, sys.n_out, n_in), dtype=complex)
+    if sp.issparse(sys.E) or sp.issparse(sys.A):
+        E, A = _pencil(sys.E, sys.A)
+        C = sp.csr_matrix(sys.C, dtype=complex) if sp.issparse(sys.C) else sys.C
+        B = B.astype(complex)
+        for j, sj in enumerate(s):
+            out[j] = C @ shifted_solver(E, A, sj)(B)
+        return out
+    E, A, C = np.asarray(sys.E), np.asarray(sys.A), _as_dense(sys.C)
+    step = max(1, _CHUNK_BYTES // (16 * n * (n + n_in)))
+    for lo in range(0, s.size, step):
+        sc = s[lo:lo + step]
+        K = sc[:, None, None] * E
+        K -= A
+        try:
+            # B stacked to (k, n, n_in): numpy 1 and 2 read a right-hand side
+            # of one dimension less than K differently
+            X = np.linalg.solve(K, np.broadcast_to(B, (sc.size, n, n_in)))
+        except np.linalg.LinAlgError:
+            for sj in sc:  # shifted_solver names the singular point
+                shifted_solver(E, A, sj)
+            raise
+        finite = np.isfinite(X).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"(sE - A) is singular at s = {sc[np.argmin(finite)]}")
+        out[lo:lo + step] = C @ X
     return out
 
 

@@ -223,6 +223,7 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result["diagnostics"]["nodes"] == 342
         assert result["unstable_orders"] == []
+        assert result["failed_orders"] == []
         assert len(result["rows"]) == 30
 
     def test_degree_zero_collapses_to_mean_system(self):

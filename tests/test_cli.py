@@ -52,6 +52,7 @@ class TestAssembleReduce:
         assert code == 0
         out = capsys.readouterr().out
         assert "rank 3" in out
+        assert "stable reduced models: 3/3, failed: 0" in out
         V = np.loadtxt(red_dir / "V.txt")
         assert V.shape == (10, 3)
         lines = (red_dir / "sweep.csv").read_text().strip().split("\n")

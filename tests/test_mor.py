@@ -14,7 +14,8 @@ from sgmor import (
     transfer_eval,
 )
 
-from _gen import random_orthonormal, random_stable_generalized, random_stable_ode
+from _gen import (random_orthonormal, random_stable_generalized, random_stable_ode,
+                  random_stable_sparse)
 
 
 def make_fom(rng, n, n_out=1):
@@ -193,6 +194,62 @@ class TestStabilitySweep:
         assert all(not row.stable for row in report.rows)
         assert all(row.note is not None for row in report.rows)
         assert all(np.isnan(row.abscissa) for row in report.rows)
+        # a failed order is not an unstable one
+        assert report.failed_orders == [1, 2]
+        assert report.unstable_orders == []
+
+    def test_failed_projection_fails_every_row(self):
+        fom = LTISystem(E=np.eye(3), A=-np.eye(3), B=np.ones((3, 1)),
+                        C=np.ones((1, 3)))
+        report = stability_sweep(fom, 2.0 * np.eye(3), [1, 2, 3])
+        assert report.failed_orders == [1, 2, 3]
+        assert all("orthonormal" in row.note for row in report.rows)
+        assert report.n_stable == 0
+        assert report.unstable_orders == []
+
+    @pytest.mark.parametrize("with_w", [False, True], ids=["V", "VW"])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_matches_per_order_loop(self, sparse, with_w):
+        # one projection at r_max sliced per order, against one projection
+        # per order and one factorization per grid point
+        rng = np.random.default_rng(78)
+        n = 40
+        if sparse:
+            E, A = random_stable_sparse(rng, n)
+        else:
+            E, A = random_stable_generalized(rng, n, margin=0.3)
+        C = rng.standard_normal((2, n))
+        fom = LTISystem(E=E, A=A, B=rng.standard_normal((n, 1)),
+                        C=sp.csr_matrix(C) if sparse else C)
+        V = arnoldi(fom.E, fom.A, fom.B, s0=0.5, r_max=12).V
+        W = V + 0.3 * rng.standard_normal(V.shape) if with_w else None
+        rule = FrequencyRule.gauss(60)
+        r_list = list(range(1, 13))
+
+        omegas, gw, jac = rule.half()
+        weights = gw * jac
+
+        def on_grid(sys):
+            return np.array([transfer_eval(sys, 1j * om) for om in omegas])
+
+        def energy(H):
+            return np.sum(weights * np.sum(np.abs(H) ** 2, axis=(1, 2)))
+
+        H = on_grid(fom)
+        flags, absc, errs = [], [], []
+        for r in r_list:
+            red = reduce(fom, ProjectionPair(V=V[:, :r],
+                                             W=None if W is None else W[:, :r]))
+            a = pencil_spectrum(red.E, red.A).abscissa
+            flags.append(bool(a < 0))
+            absc.append(a)
+            errs.append(np.sqrt(energy(H - on_grid(red.as_lti())) / energy(H)))
+
+        report = stability_sweep(fom, V, r_list, W_full=W, freq_rule=rule)
+        assert report.failed_orders == []
+        assert [row.stable for row in report.rows] == flags
+        assert_allclose([row.abscissa for row in report.rows], absc, rtol=1e-12)
+        assert_allclose([row.rel_h2_error for row in report.rows], errs, rtol=1e-12)
 
     def test_counts_and_unstable_orders(self):
         E = np.eye(2)

@@ -9,6 +9,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+import sgmor.systems
+
 from sgmor import (
     AffineParamSystem,
     Distribution,
@@ -28,7 +30,8 @@ from sgmor import (
     transfer_on_grid,
 )
 
-from _gen import random_dissipative, random_stable_generalized, random_stable_ode
+from _gen import (random_dissipative, random_stable_generalized, random_stable_ode,
+                  random_stable_sparse)
 
 
 def h2_by_gramian(sys):
@@ -213,6 +216,33 @@ class TestTransfer:
         # H(0) = C (-A)^[-1] B = ones(2,2) @ ones(2,1)
         assert_allclose(H[0], 2.0)
 
+    @pytest.mark.parametrize("chunk_bytes", [1, sgmor.systems._CHUNK_BYTES])
+    def test_dense_grid_matches_pointwise(self, chunk_bytes, monkeypatch):
+        # chunk_bytes = 1 makes every grid point its own stacked solve
+        monkeypatch.setattr(sgmor.systems, "_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(34)
+        E, A = random_stable_generalized(rng, 9, margin=0.3)
+        sys = LTISystem(E=E, A=A, B=rng.standard_normal((9, 2)),
+                        C=rng.standard_normal((3, 9)))
+        omegas = FrequencyRule.gauss(40).half()[0]
+        ref = np.array([sys.C @ shifted_solver(E, A, 1j * om)(sys.B) for om in omegas])
+        assert_allclose(transfer_on_grid(sys, omegas), ref, rtol=1e-13)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_sparse_c_matches_dense_c(self, sparse):
+        rng = np.random.default_rng(35)
+        E, A = random_stable_sparse(rng, 15)
+        if not sparse:
+            E, A = E.toarray(), A.toarray()
+        B = rng.standard_normal((15, 2))
+        C = sp.random(4, 15, density=0.2, random_state=rng, format="csr",
+                      data_rvs=rng.standard_normal)
+        omegas = FrequencyRule.gauss(20).half()[0]
+        H_dense = transfer_on_grid(LTISystem(E=E, A=A, B=B, C=C.toarray()), omegas)
+        H_sparse = transfer_on_grid(LTISystem(E=E, A=A, B=B, C=C), omegas)
+        assert_allclose(H_sparse, H_dense, rtol=1e-13,
+                        atol=1e-14 * np.abs(H_dense).max())
+
     def test_singular_point_reported(self):
         sys = LTISystem(E=np.array([[1.0]]), A=np.array([[2.0]]),
                         B=np.array([[1.0]]), C=np.array([[1.0]]))
@@ -232,6 +262,7 @@ def test_shifted_solver(sparse):
         (0.5 + 2j, lambda: transfer_eval(sys, 0.5 + 2j)),
         (0.7, lambda: arnoldi(E_sing, A_sing, np.ones((3, 1)), 0.7, 2)),
         (node, lambda: freq_projection(E_sing, A_sing, np.eye(3), np.ones((3, 1)), rule)),
+        (node, lambda: transfer_on_grid(sys, rule.half()[0])),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error", sla.LinAlgWarning)
