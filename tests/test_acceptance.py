@@ -170,24 +170,27 @@ def test_criterion_4_stability_theory():
 
 
 def test_criterion_5_stability_end_to_end():
-    results = {}
+    results, failed = {}, {}
     for model in ("msd", "bpf"):
         for technique in ("none", "i", "iii"):
             cfg = RunConfig(model=model, degree=1, technique=technique,
                             nodes=64, r_max=30, with_errors=False)
             res = run_experiment(cfg)
             results[(model, technique)] = res["unstable_orders"]
+            failed[(model, technique)] = res["failed_orders"]
 
     ok = True
     parts = []
     for model in ("msd", "bpf"):
         plain = results[(model, "none")]
         ok = ok and len(plain) >= 1
-        ok = ok and results[(model, "i")] == []
-        ok = ok and results[(model, "iii")] == []
+        for technique in ("i", "iii"):
+            ok = ok and results[(model, technique)] == []
+            ok = ok and failed[(model, technique)] == []
         parts.append(f"{model}: plain {len(plain)} unstable, "
                      f"i {len(results[(model, 'i')])}, "
-                     f"iii {len(results[(model, 'iii')])}")
+                     f"iii {len(results[(model, 'iii')])}, failed "
+                     f"{len(failed[(model, 'i')]) + len(failed[(model, 'iii')])}")
     _report(5, "stability-preservation", ok, "; ".join(parts))
 
 

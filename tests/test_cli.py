@@ -119,6 +119,7 @@ class TestStabilizeCommand:
         report = stability_sweep(fom, V, range(1, V.shape[1] + 1), W_full=W)
         assert len(report.rows) == 30
         assert report.unstable_orders == []
+        assert report.failed_orders == []
 
 
 class TestH2ErrorCommand:
