@@ -16,15 +16,13 @@ from .systems import (AffineParamSystem, DissipativityCheck,
                       h2_norm, h2_relative_error, is_asymptotically_stable,
                       is_dissipative, pencil_spectrum, shifted_solver,
                       transfer_eval, transfer_on_grid)
-from .galerkin import (GalerkinSystem, assemble, assemble_output,
-                       assemble_via_quadrature)
+from .galerkin import assemble, assemble_output, assemble_via_quadrature
 from .lyapunov import freq_projection, lyap_residual, solve_lyap_direct
 from .stabilize import (CommutationReport, StabilizationOutcome,
                         regularization_commutes, regularize,
                         regularize_affine, technique_i, technique_ii,
                         technique_iii, theta_family)
-from .mor import (ArnoldiResult, ProjectionPair, ReducedSystem,
-                  StabilityReport, SweepRow, arnoldi, reduce,
+from .mor import (ArnoldiResult, StabilityReport, SweepRow, arnoldi, reduce,
                   stability_sweep)
 from .bench import (BpfConfig, MsdConfig, RunConfig, build_bandpass,
                     build_msd, run_experiment)

@@ -357,7 +357,7 @@ class RunConfig:
 
 def project(cfg: RunConfig):
     """The family of cfg.model, regularized when cfg.beta is set, its chaos
-    basis of cfg.degree, and the projected system; returns (aps, basis, gal)."""
+    basis of cfg.degree, and the projected system; returns (aps, basis, fom)."""
     aps = MODELS[cfg.model]["build"]()
     if cfg.beta is not None:
         aps = regularize_affine(aps, cfg.beta)
@@ -368,13 +368,14 @@ def project(cfg: RunConfig):
 def stabilized_basis(cfg: RunConfig, timings: dict):
     """Projection, Krylov basis and stabilizing technique of one run.
 
-    Returns (gal, arn, outcome): the projected system, the Arnoldi basis of
-    the system that is reduced (the re-assembled one under technique ii),
-    and the StabilizationOutcome, None for technique "none".  Wall times of
-    the assemble, arnoldi and stabilize stages go into timings.
+    Returns (projection, arn, outcome): project's (aps, basis, fom), the
+    Arnoldi basis of the system that is reduced (the re-assembled one under
+    technique ii), and the StabilizationOutcome, None for technique "none".
+    Wall times of the assemble, arnoldi and stabilize stages go into timings.
     """
     t0 = time.perf_counter()
-    aps, basis, gal = project(cfg)
+    projection = project(cfg)
+    aps, basis, fom = projection
     timings["assemble"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -386,18 +387,18 @@ def stabilized_basis(cfg: RunConfig, timings: dict):
         n_quad = cfg.quad_nodes or max(100, 2 * basis.m)
         quad = monte_carlo_rule(aps.dists, n_quad, seed=cfg.seed)
         outcome = technique_ii(aps, basis, quad)
-    reduced = gal if outcome is None else outcome.transformed
+    reduced = fom if outcome is None else outcome.transformed
     t1 = time.perf_counter()
     arn = arnoldi(reduced.E, reduced.A, reduced.B, cfg.expansion_point, cfg.r_max)
     t2 = time.perf_counter()
     if cfg.technique == "i":
         rule = FrequencyRule.gauss(cfg.nodes, omega_scale=cfg.stab_scale)
-        outcome = technique_i(gal, arn.V, rule=rule)
+        outcome = technique_i(fom, arn.V, rule=rule)
     elif cfg.technique == "iii":
-        outcome = technique_iii(gal, aps, arn.V)
+        outcome = technique_iii(fom, aps, arn.V)
     timings["arnoldi"] = t2 - t1
     timings["stabilize"] = (t1 - t0) + (time.perf_counter() - t2)
-    return gal, arn, outcome
+    return projection, arn, outcome
 
 
 def run_experiment(cfg: RunConfig) -> dict:
@@ -411,11 +412,11 @@ def run_experiment(cfg: RunConfig) -> dict:
     """
     t_start = time.perf_counter()
     timings = {}
-    gal, arn, outcome = stabilized_basis(cfg, timings)
+    (aps, basis, projected), arn, outcome = stabilized_basis(cfg, timings)
 
-    fom, error_reference = gal.as_lti(), None
+    fom, error_reference = projected, None
     if outcome is not None and outcome.transformed is not None:
-        fom, error_reference = outcome.transformed.as_lti(), fom
+        fom, error_reference = outcome.transformed, projected
     W = None if outcome is None else outcome.W
     diag = {} if outcome is None else outcome.diagnostics
 
@@ -432,10 +433,10 @@ def run_experiment(cfg: RunConfig) -> dict:
     result = {
         "config": asdict(cfg),
         "model": cfg.model,
-        "dimension": gal.dim,
-        "blocks": gal.m,
-        "state_dim": gal.n,
-        "outputs": gal.n_out,
+        "dimension": projected.n,
+        "blocks": basis.m,
+        "state_dim": aps.n,
+        "outputs": projected.n_out,
         "expansion_point": cfg.expansion_point,
         "omega_scale": cfg.omega_scale,
         "beta": cfg.beta,
@@ -444,7 +445,7 @@ def run_experiment(cfg: RunConfig) -> dict:
         "n_stable": report.n_stable,
         "unstable_orders": report.unstable_orders,
         "failed_orders": report.failed_orders,
-        "diagnostics": {k: v for k, v in diag.items() if k != "seconds"},
+        "diagnostics": diag,
         "timings": timings,
         "rows": [
             {"r": row.r, "stable": row.stable, "abscissa": row.abscissa,

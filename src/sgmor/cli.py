@@ -76,14 +76,13 @@ def _cmd_bench(args) -> int:
 
 def _cmd_assemble(args) -> int:
     cfg = RunConfig(**_run_fields(args))
-    gal = project(cfg)[2]
-    extra = {"kind": "galerkin", "m": gal.m, "n": gal.n,
-             "provenance": gal.provenance, "model": cfg.model,
+    aps, basis, fom = project(cfg)
+    extra = {"kind": "galerkin", "m": basis.m, "n": aps.n, "model": cfg.model,
              "degree": cfg.degree,
              **{k: getattr(cfg, k) for k in MODEL_FIELDS}}
-    path = save_system(gal.as_lti(), cfg.out, extra=extra)
-    print(f"assembled {cfg.model} degree {cfg.degree}: dimension {gal.dim}, "
-          f"{gal.n_out} outputs")
+    path = save_system(fom, cfg.out, extra=extra)
+    print(f"assembled {cfg.model} degree {cfg.degree}: dimension {fom.n}, "
+          f"{fom.n_out} outputs")
     print(f"wrote {path}")
     return 0
 

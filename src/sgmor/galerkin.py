@@ -1,12 +1,14 @@
 """Spectral projection of parameter-affine systems onto a chaos basis.
 
 The projected system couples all chaos coefficients of the state into one
-deterministic descriptor system of dimension m * n.  Affine parameter
+deterministic descriptor system of dimension m * n.  Rows and columns are
+ordered block-wise by basis polynomial: block i holds the coefficient of
+basis function i, so the leading n x n blocks of E and A are the mean
+system.  The output matrix stacks the chaos coefficients of every original
+output, so n_out is m times the family's output count.  Affine parameter
 dependence yields an exact block assembly from moment matrices; arbitrary
 (transformed) dependence is handled by quadrature over parameter nodes.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,56 +20,13 @@ from .systems import DEFINITENESS_RTOL, AffineParamSystem, LTISystem, _as_dense
 _CHUNK_BYTES = 8 * 2 ** 20
 
 
-@dataclass(eq=False)
-class GalerkinSystem:
-    """Projected system with m chaos blocks of state dimension n each.
-
-    Rows and columns are ordered block-wise by basis polynomial: block i
-    holds the coefficient of basis function i.  The output matrix stacks the
-    chaos coefficients of every original output, so n_out equals
-    m * n_out_original.
-    """
-
-    E: object
-    A: object
-    B: object
-    C: object
-    m: int
-    n: int
-    provenance: str = "exact-affine"
-
-    def __post_init__(self):
-        mn = self.m * self.n
-        if self.E.shape != (mn, mn) or self.A.shape != (mn, mn):
-            raise ValueError("E and A must be (m*n) x (m*n)")
-        if self.B.shape[0] != mn:
-            raise ValueError("B must have m*n rows")
-        if self.C.shape[1] != mn:
-            raise ValueError("C must have m*n columns")
-
-    @property
-    def dim(self) -> int:
-        return self.m * self.n
-
-    @property
-    def n_in(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def n_out(self) -> int:
-        return self.C.shape[0]
-
-    def as_lti(self) -> LTISystem:
-        return LTISystem(E=self.E, A=self.A, B=self.B, C=self.C)
-
-
 def _coef_to_sparse(M):
     if sp.issparse(M):
         return M.tocsr()
     return sp.csr_matrix(np.atleast_2d(np.asarray(M, dtype=float)))
 
 
-def _assemble_square(const, parts, Gs, m):
+def _assemble_square(const, parts, Gs):
     total = sp.kron(Gs[0], _coef_to_sparse(const), format="csr")
     for l, part in enumerate(parts):
         if part is not None:
@@ -75,20 +34,21 @@ def _assemble_square(const, parts, Gs, m):
     return total.tocsr()
 
 
-def assemble(aps: AffineParamSystem, basis: PCBasis) -> GalerkinSystem:
+def assemble(aps: AffineParamSystem, basis: PCBasis) -> LTISystem:
     """Exact projection of an affine family onto the chaos basis.
 
     E and A become sum_l G_l (x) M_l over the affine terms, with G_0 the
     identity pairing the constant part.  B collects the chaos coefficients
     of the affine input matrix, which live in the first column of each G_l.
+    E, A and C are sparse (CSR).
     """
     if tuple(aps.dists) != tuple(basis.dists):
         raise ValueError("system parameters and basis distributions must match")
-    m, n = basis.m, aps.n
+    m = basis.m
     Gs = [moment_matrix(basis, l) for l in range(basis.q + 1)]
-    E_hat = _assemble_square(aps.E0, aps.E_parts, Gs, m)
-    A_hat = _assemble_square(aps.A0, aps.A_parts, Gs, m)
-    C_hat = _assemble_square(aps.C0, aps.C_parts, Gs, m)
+    E_hat = _assemble_square(aps.E0, aps.E_parts, Gs)
+    A_hat = _assemble_square(aps.A0, aps.A_parts, Gs)
+    C_hat = _assemble_square(aps.C0, aps.C_parts, Gs)
 
     B0 = np.atleast_2d(_as_dense(aps.B0))
     e1 = np.zeros(m)
@@ -99,8 +59,7 @@ def assemble(aps: AffineParamSystem, basis: PCBasis) -> GalerkinSystem:
             Bl = np.atleast_2d(_as_dense(part))
             g_col = Gs[l + 1][:, [0]].toarray().ravel()
             B_hat = B_hat + np.kron(g_col[:, None], Bl)
-    return GalerkinSystem(E=E_hat, A=A_hat, B=B_hat, C=C_hat, m=m, n=n,
-                          provenance="exact-affine")
+    return LTISystem(E=E_hat, A=A_hat, B=B_hat, C=C_hat)
 
 
 def assemble_output(aps: AffineParamSystem, basis: PCBasis):
@@ -108,7 +67,7 @@ def assemble_output(aps: AffineParamSystem, basis: PCBasis):
     if tuple(aps.dists) != tuple(basis.dists):
         raise ValueError("system parameters and basis distributions must match")
     Gs = [moment_matrix(basis, l) for l in range(basis.q + 1)]
-    return _assemble_square(aps.C0, aps.C_parts, Gs, basis.m)
+    return _assemble_square(aps.C0, aps.C_parts, Gs)
 
 
 def _weighted_kron_sum(S, wS, X):
@@ -131,7 +90,7 @@ def _weighted_kron_sum(S, wS, X):
 
 
 def assemble_via_quadrature(matrix_fn, basis: PCBasis, rule: QuadratureRule,
-                            C=None, provenance: str = "quadrature") -> GalerkinSystem:
+                            C=None) -> LTISystem:
     """Projection of a general parameter dependence by numerical integration.
 
     matrix_fn maps a parameter vector to a tuple (A, B, E) of dense arrays.
@@ -183,5 +142,4 @@ def assemble_via_quadrature(matrix_fn, basis: PCBasis, rule: QuadratureRule,
     B_hat = np.einsum("ki,kac->iac", wS, np.stack(Bs)).reshape(m * n, -1)
     if C is None:
         C = np.zeros((0, m * n))
-    return GalerkinSystem(E=E_hat, A=A_hat, B=B_hat, C=C, m=m, n=n,
-                          provenance=provenance)
+    return LTISystem(E=E_hat, A=A_hat, B=B_hat, C=C)

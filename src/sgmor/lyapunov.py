@@ -14,10 +14,7 @@ from .frequency import FrequencyRule, default_rule
 # pencil_spectrum is unused here; perfbench/tracer.py wraps it by this attribute
 from .systems import _as_dense, _pencil, pencil_spectrum, shifted_solver  # noqa: F401
 
-__all__ = [
-    "FrequencyRule", "default_rule", "solve_lyap_direct", "freq_projection",
-    "lyap_residual",
-]
+__all__ = ["solve_lyap_direct", "freq_projection", "lyap_residual"]
 
 
 def solve_lyap_direct(E, A, F) -> np.ndarray:

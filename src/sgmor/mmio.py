@@ -2,7 +2,7 @@
 
 A saved system is a directory holding E.mtx, A.mtx, B.mtx, C.mtx and a
 manifest recording shapes, sparsity, and optional extra metadata (for
-spectral Galerkin systems: block counts and assembly provenance).
+spectral Galerkin systems: block counts and model defaults).
 """
 
 import json

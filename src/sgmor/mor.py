@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frequency import FrequencyRule
-from .systems import (LTISystem, _as_dense, _weighted_energy, pencil_spectrum,
-                      shifted_solver, transfer_on_grid)
+from .systems import (LTISystem, _as_dense, _check_same_io, _weighted_energy,
+                      pencil_spectrum, shifted_solver, transfer_on_grid)
 
 BREAKDOWN_RTOL = 1e-13
 
@@ -67,63 +67,31 @@ def arnoldi(E, A, B, s0: float, r_max: int) -> ArnoldiResult:
     return ArnoldiResult(V=V, breakdown=False)
 
 
-@dataclass(eq=False)
-class ProjectionPair:
-    """Right basis V (orthonormal) and left factor W (defaults to V)."""
+def reduce(fom: LTISystem, V, W=None) -> LTISystem:
+    """Petrov-Galerkin reduction W^T (E, A, B) V with output C V.
 
-    V: np.ndarray
-    W: np.ndarray | None = None
-
-    def __post_init__(self):
-        V = np.atleast_2d(np.asarray(self.V, dtype=float))
-        if V.shape[0] < V.shape[1]:
-            raise ValueError("V must be tall (n >= r)")
-        gram_err = np.linalg.norm(V.T @ V - np.eye(V.shape[1]))
-        if gram_err > 1e-12 * max(1.0, np.sqrt(V.shape[1])):
-            raise ValueError(f"V is not orthonormal (||V^T V - I|| = {gram_err:.2e})")
-        self.V = V
-        if self.W is not None:
-            W = np.atleast_2d(np.asarray(self.W, dtype=float))
-            if W.shape != V.shape:
-                raise ValueError("W must have the same shape as V")
-            self.W = W
-
-    @property
-    def r(self) -> int:
-        return self.V.shape[1]
-
-    def left(self) -> np.ndarray:
-        return self.V if self.W is None else self.W
-
-
-@dataclass(eq=False)
-class ReducedSystem:
-    """Dense reduced-order model."""
-
-    E: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-
-    @property
-    def r(self) -> int:
-        return self.E.shape[0]
-
-    def as_lti(self) -> LTISystem:
-        return LTISystem(E=self.E, A=self.A, B=self.B, C=self.C)
-
-
-def reduce(fom: LTISystem, pair: ProjectionPair) -> ReducedSystem:
-    """Petrov-Galerkin reduction W^T (E, A, B) V with output C V."""
-    V = pair.V
-    W = pair.left()
+    V must be orthonormal with fom.n rows; the left factor W defaults to V
+    and must have the shape of V.
+    """
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    if V.shape[0] < V.shape[1]:
+        raise ValueError("V must be tall (n >= r)")
+    gram_err = np.linalg.norm(V.T @ V - np.eye(V.shape[1]))
+    if gram_err > 1e-12 * max(1.0, np.sqrt(V.shape[1])):
+        raise ValueError(f"V is not orthonormal (||V^T V - I|| = {gram_err:.2e})")
+    if W is None:
+        W = V
+    else:
+        W = np.atleast_2d(np.asarray(W, dtype=float))
+        if W.shape != V.shape:
+            raise ValueError("W must have the same shape as V")
     if V.shape[0] != fom.n:
         raise ValueError("projection basis does not match system dimension")
     WE = W.T @ np.asarray(fom.E @ V)
     WA = W.T @ np.asarray(fom.A @ V)
     WB = W.T @ _as_dense(fom.B)
     CV = np.asarray(fom.C @ V)
-    return ReducedSystem(E=WE, A=WA, B=WB, C=CV)
+    return LTISystem(E=WE, A=WA, B=WB, C=CV)
 
 
 @dataclass(frozen=True)
@@ -190,6 +158,8 @@ def stability_sweep(fom: LTISystem, V_full, r_list, W_full=None,
     With freq_rule given, relative H2 errors are computed on that shared grid
     against error_reference (the reduction target fom by default; pass the
     untransformed system when fom was re-assembled by a transformation).
+    An error_reference whose input or output count differs from fom's raises
+    ValueError before any order is reduced.
     The reference transfer function is evaluated once; each order's is one
     transfer_on_grid call, which solves all grid points in one stacked call.
 
@@ -208,6 +178,8 @@ def stability_sweep(fom: LTISystem, V_full, r_list, W_full=None,
         W_full = np.atleast_2d(np.asarray(W_full, dtype=float))
         if W_full.shape != V_full.shape:
             raise ValueError("W must have the same shape as V")
+    if error_reference is not None:
+        _check_same_io(fom, error_reference)
 
     fom_vals = None
     weights = None
@@ -227,8 +199,8 @@ def stability_sweep(fom: LTISystem, V_full, r_list, W_full=None,
 
     r_max = r_list[-1]
     try:
-        full = reduce(fom, ProjectionPair(
-            V=V_full[:, :r_max], W=None if W_full is None else W_full[:, :r_max]))
+        full = reduce(fom, V_full[:, :r_max],
+                      None if W_full is None else W_full[:, :r_max])
     except Exception as exc:
         return StabilityReport(rows=[failed(r, exc) for r in r_list])
 

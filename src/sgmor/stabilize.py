@@ -18,7 +18,6 @@ Also here: the two-parameter regularization that turns an index-1
 differential-algebraic system into a nearby ordinary one.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,11 +26,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .frequency import FrequencyRule, default_rule
-from .galerkin import (GalerkinSystem, assemble, assemble_output,
-                       assemble_via_quadrature)
+from .galerkin import assemble, assemble_output, assemble_via_quadrature
 from .lyapunov import freq_projection, solve_lyap_direct
 from .pce import PCBasis, QuadratureRule
-from .systems import AffineParamSystem, _as_dense, eval_at
+from .systems import AffineParamSystem, LTISystem, _as_dense, eval_at
 
 DEFAULT_BETA = 1e-5
 
@@ -92,7 +90,7 @@ class StabilizationOutcome:
 
     technique: str
     W: np.ndarray | None = None
-    transformed: GalerkinSystem | None = None
+    transformed: LTISystem | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -104,25 +102,23 @@ def _default_F(dim):
     return sp.identity(dim, format="csr")
 
 
-def technique_i(gal: GalerkinSystem, V, rule: FrequencyRule | None = None,
+def technique_i(fom: LTISystem, V, rule: FrequencyRule | None = None,
                 F=None) -> StabilizationOutcome:
     """Left factor W = M E V from the projected system's Lyapunov solution.
 
-    M solves A^T M E + E^T M A + F = 0 for the projected pencil, which must
-    be asymptotically stable.  W is computed by frequency-domain quadrature
-    with one sparse factorization per node and is returned unnormalized.
+    M solves A^T M E + E^T M A + F = 0 for the pencil of the projected
+    system fom, which must be asymptotically stable.  W is computed by
+    frequency-domain quadrature with one sparse factorization per node and
+    is returned unnormalized.
     """
     if rule is None:
         rule = default_rule()
     if F is None:
-        F = _default_F(gal.dim)
-    t0 = time.perf_counter()
-    W = freq_projection(gal.E, gal.A, F, V, rule)
-    elapsed = time.perf_counter() - t0
+        F = _default_F(fom.n)
+    W = freq_projection(fom.E, fom.A, F, V, rule)
     return StabilizationOutcome(
         technique="i", W=W,
-        diagnostics={"nodes": rule.n_nodes, "seconds": elapsed,
-                     "omega_scale": rule.omega_scale})
+        diagnostics={"nodes": rule.n_nodes, "omega_scale": rule.omega_scale})
 
 
 def technique_ii(aps: AffineParamSystem, basis: PCBasis, quad: QuadratureRule,
@@ -153,21 +149,27 @@ def technique_ii(aps: AffineParamSystem, basis: PCBasis, quad: QuadratureRule,
         EtM = Ed.T @ M
         return EtM @ Ad, EtM @ Bd, EtM @ Ed
 
-    t0 = time.perf_counter()
-    C_exact = assemble_output(aps, basis)
-    gal_t = assemble_via_quadrature(transformed_matrices, basis, quad,
-                                    C=C_exact, provenance="technique-ii")
-    elapsed = time.perf_counter() - t0
-    return StabilizationOutcome(
-        technique="ii", transformed=gal_t,
-        diagnostics={"nodes": quad.k, "seconds": elapsed})
+    transformed = assemble_via_quadrature(transformed_matrices, basis, quad,
+                                          C=assemble_output(aps, basis))
+    return StabilizationOutcome(technique="ii", transformed=transformed,
+                                diagnostics={"nodes": quad.k})
 
 
-def technique_iii(gal: GalerkinSystem, aps: AffineParamSystem, V,
+def _block_count(fom: LTISystem, n: int) -> int:
+    """Number m of chaos blocks of state dimension n in the projected fom."""
+    m, rest = divmod(fom.n, n)
+    if rest:
+        raise ValueError(f"projected dimension {fom.n} is not a multiple of "
+                         f"the family's state dimension {n}")
+    return m
+
+
+def technique_iii(fom: LTISystem, aps: AffineParamSystem, V,
                   mu_star=None, F=None) -> StabilizationOutcome:
     """Blockwise left factor from one Lyapunov solution at a reference point.
 
-    W = (I (x) M*) E V with M* solving the Lyapunov equation of the
+    fom is the projection of aps; its m = fom.n / aps.n chaos blocks share
+    M*.  W = (I (x) M*) E V with M* solving the Lyapunov equation of the
     realization at mu_star (the parameter means by default).  The margin
     lambda_max(E^T (I (x) M*) A + transpose) is reported in the diagnostics;
     a negative margin certifies that every reduction from (W, V) is stable.
@@ -176,43 +178,41 @@ def technique_iii(gal: GalerkinSystem, aps: AffineParamSystem, V,
         mu_star = aps.nominal()
     mu_star = np.atleast_1d(np.asarray(mu_star, dtype=float))
     n = aps.n
+    m = _block_count(fom, n)
     if F is None:
         F = np.eye(n)
-    t0 = time.perf_counter()
     sys_star = eval_at(aps, mu_star)
     M_star = solve_lyap_direct(sys_star.E, sys_star.A, F)
 
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    if V.shape[0] == 1 and gal.dim != 1:
+    if V.shape[0] == 1 and fom.n != 1:
         V = V.T
-    if V.shape[0] != gal.dim:
-        raise ValueError("V must have m*n rows")
-    EV = np.asarray(gal.E @ V)
+    if V.shape[0] != fom.n:
+        raise ValueError("V must have as many rows as the projected system")
+    EV = np.asarray(fom.E @ V)
     r = V.shape[1]
-    blocks = EV.reshape(gal.m, n, r)
-    W = np.einsum("ij,bjr->bir", M_star, blocks).reshape(gal.dim, r)
+    blocks = EV.reshape(m, n, r)
+    W = np.einsum("ij,bjr->bir", M_star, blocks).reshape(fom.n, r)
 
-    margin = _technique_iii_margin(gal, M_star)
-    elapsed = time.perf_counter() - t0
+    margin = _technique_iii_margin(fom, M_star)
     return StabilizationOutcome(
         technique="iii", W=W,
-        diagnostics={"margin": margin, "mu_star": mu_star.tolist(),
-                     "seconds": elapsed})
+        diagnostics={"margin": margin, "mu_star": mu_star.tolist()})
 
 
-def _technique_iii_margin(gal: GalerkinSystem, M_star: np.ndarray) -> float:
+def _technique_iii_margin(fom: LTISystem, M_star: np.ndarray) -> float:
     """Largest eigenvalue of E^T (I (x) M*) A + (E^T (I (x) M*) A)^T."""
-    M_big = sp.kron(sp.identity(gal.m, format="csr"),
+    m = _block_count(fom, M_star.shape[0])
+    M_big = sp.kron(sp.identity(m, format="csr"),
                     sp.csr_matrix(M_star), format="csr")
-    E_s = sp.csr_matrix(gal.E)
-    A_s = sp.csr_matrix(gal.A)
+    E_s = sp.csr_matrix(fom.E)
+    A_s = sp.csr_matrix(fom.A)
     T = (E_s.T @ M_big) @ A_s
     S = (T + T.T).tocsc()
-    dim = gal.dim
-    if dim < 2000:
+    if fom.n < 2000:
         return float(sla.eigvalsh(S.toarray())[-1])
     # a fixed start vector makes ARPACK, and so the margin, reproducible
-    val = spla.eigsh(S, k=1, which="LA", v0=np.ones(dim),
+    val = spla.eigsh(S, k=1, which="LA", v0=np.ones(fom.n),
                      return_eigenvectors=False)
     return float(val[0])
 

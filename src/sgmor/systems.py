@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .frequency import (CONVERGENCE_RTOL, DEFAULT_NODES, MAX_NODES,
-                        FrequencyRule)
+                        FrequencyRule, default_rule)
 from .pce import Distribution
 
 # Pencil eigenvalues with |beta| below this multiple of max(||E||, ||A||)
@@ -51,7 +51,9 @@ def _as_dense(X) -> np.ndarray:
 class LTISystem:
     """Descriptor system E x' = A x + B u, y = C x.
 
-    E and A are square n x n (dense or sparse), B is n x n_in, C is
+    The one container of the pipeline: a realization at a parameter point,
+    the projected chaos system and every reduced model are all of this
+    type.  E and A are square n x n (dense or sparse), B is n x n_in, C is
     n_out x n.  E may be singular; the pencil (E, A) must be regular for
     any of the spectral routines to succeed.
     """
@@ -179,7 +181,6 @@ class PencilSpectrum:
 
     finite: np.ndarray
     abscissa: float
-    has_infinite: bool
     n_infinite: int
 
 
@@ -209,7 +210,6 @@ def pencil_spectrum(E, A) -> PencilSpectrum:
     return PencilSpectrum(
         finite=finite,
         abscissa=float(np.max(finite.real)),
-        has_infinite=n_infinite > 0,
         n_infinite=n_infinite,
     )
 
@@ -420,14 +420,17 @@ def h2_norm(sys: LTISystem, freq_rule: FrequencyRule | None = None,
         n_nodes *= 2
 
 
+def _check_same_io(fom: LTISystem, rom: LTISystem):
+    if fom.n_in != rom.n_in or fom.n_out != rom.n_out:
+        raise ValueError("full and reduced systems must share input/output counts")
+
+
 def h2_relative_error(fom: LTISystem, rom: LTISystem,
                       freq_rule: FrequencyRule | None = None,
                       omega_scale: float = 1.0) -> float:
     """Relative H2 error ||H - H_r|| / ||H|| on a shared frequency grid."""
-    if fom.n_in != rom.n_in or fom.n_out != rom.n_out:
-        raise ValueError("full and reduced systems must share input/output counts")
-    rule = freq_rule if freq_rule is not None else FrequencyRule.gauss(
-        DEFAULT_NODES, omega_scale=omega_scale)
+    _check_same_io(fom, rom)
+    rule = freq_rule if freq_rule is not None else default_rule(omega_scale)
     omegas, gw, jac = rule.half()
     weights = gw * jac
     Hf = transfer_on_grid(fom, omegas)

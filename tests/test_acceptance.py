@@ -57,14 +57,14 @@ def test_criterion_1_combinatorics():
 
     msd = build_msd()
     gal_msd = assemble(msd, build_basis(msd.dists, 3))
-    msd_ok = gal_msd.dim == 11400 and gal_msd.n_out == 1140
+    msd_ok = gal_msd.n == 11400 and gal_msd.n_out == 1140
 
     bpf = regularize_affine(build_bandpass(), 1e-5)
     gal_bpf = assemble(bpf, build_basis(bpf.dists, 2))
-    bpf_ok = gal_bpf.dim == 6900 and gal_bpf.n_out == 300
+    bpf_ok = gal_bpf.n == 6900 and gal_bpf.n_out == 300
 
     _report(1, "combinatorics", counts_ok and msd_ok and bpf_ok,
-            f"msd {gal_msd.dim}x{gal_msd.n_out}, bpf {gal_bpf.dim}x{gal_bpf.n_out}")
+            f"msd {gal_msd.n}x{gal_msd.n_out}, bpf {gal_bpf.n}x{gal_bpf.n_out}")
 
 
 def test_criterion_2_lyapunov_correctness():
@@ -154,10 +154,9 @@ def test_criterion_4_stability_theory():
         aps = stable_family(rng, n, int(rng.integers(1, 3)))
         F = random_spd(rng, n)
         frozen = theta_family(aps, 0.0)
-        gal = assemble(frozen, build_basis(frozen.dists, 1))
-        fom = gal.as_lti()
-        arn = arnoldi(fom.E, fom.A, fom.B, s0=1.0, r_max=min(4, gal.dim))
-        out = technique_iii(gal, frozen, arn.V, F=F)
+        fom = assemble(frozen, build_basis(frozen.dists, 1))
+        arn = arnoldi(fom.E, fom.A, fom.B, s0=1.0, r_max=min(4, fom.n))
+        out = technique_iii(fom, frozen, arn.V, F=F)
         margin_dev = max(margin_dev, abs(out.diagnostics["margin"]
                                          + np.linalg.eigvalsh(F)[0]))
 

@@ -86,7 +86,7 @@ class TestMsdModel:
         sysn = eval_at(aps, aps.nominal())
         spectrum = pencil_spectrum(np.asarray(sysn.E), np.asarray(sysn.A))
         assert spectrum.abscissa < 0
-        assert not spectrum.has_infinite
+        assert spectrum.n_infinite == 0
         assert not is_dissipative(sysn.E, sysn.A).ok
 
     def test_random_realizations_stable(self):

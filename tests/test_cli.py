@@ -91,6 +91,8 @@ class TestAssembleReduce:
                      "--out", str(tmp_path / "g")])
         assert code == 0
         assert "dimension 180" in capsys.readouterr().out
+        _, extra = load_system(tmp_path / "g")
+        assert (extra["m"], extra["n"]) == (18, 10)
 
 
 class TestStabilizeCommand:
@@ -105,6 +107,15 @@ class TestStabilizeCommand:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["technique"] == "iii"
         assert "margin" in diag
+
+    def test_diagnostics_are_deterministic(self, capsys, tmp_path):
+        # stage times go to report.json; diagnostics.json holds none
+        args = ["stabilize", "--model", "msd", "--degree", "0",
+                "--technique", "iii", "--rmax", "3", "--out"]
+        assert main(args + [str(tmp_path / "a")]) == 0
+        assert main(args + [str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "diagnostics.json").read_bytes()
+                == (tmp_path / "b" / "diagnostics.json").read_bytes())
 
     def test_bpf_technique_i_stable_at_every_order(self, capsys, tmp_path):
         # the quadrature must use the stabilizer scale that sgmor bench uses;

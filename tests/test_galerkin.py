@@ -42,7 +42,7 @@ class TestAssembly:
         c = 1.0 / np.sqrt(3.0)
         Ahat = gal.A.toarray()
         n = 3
-        assert gal.dim == 2 * n
+        assert gal.n == 2 * n
         assert_allclose(Ahat[:n, :n], A0, rtol=1e-14)
         assert_allclose(Ahat[n:, n:], A0, rtol=1e-14)
         assert_allclose(Ahat[:n, n:], c * A1, rtol=1e-13)
@@ -80,9 +80,9 @@ class TestAssembly:
         for degree, m in ((0, 1), (1, 2), (3, 4)):
             basis = build_basis(aps.dists, degree)
             gal = assemble(aps, basis)
-            assert gal.m == m
-            assert gal.dim == 5 * m
-            assert gal.as_lti().n == 5 * m
+            assert gal.n == 5 * m
+            assert sp.issparse(gal.E) and sp.issparse(gal.A)
+            assert gal.n_out == m
 
     def test_dist_mismatch_rejected(self):
         rng = np.random.default_rng(10)
@@ -156,8 +156,7 @@ class TestQuadratureAssembly:
 
         gal = assemble_via_quadrature(matrix_fn, basis,
                                       monte_carlo_rule(aps.dists, 20, seed=0))
-        assert gal.C.shape == (0, gal.dim)
-        assert gal.provenance == "quadrature"
+        assert gal.C.shape == (0, gal.n)
 
     def test_node_failure_is_located(self):
         basis = build_basis((Distribution.uniform(-1, 1),), 1)
@@ -210,7 +209,7 @@ class TestQuadratureContraction:
         for got, ref in ((gal.A, A_ref), (gal.E, E_ref), (gal.B, B_ref)):
             assert got.shape == ref.shape
             assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
-        assert (gal.m, gal.n, gal.n_in) == (basis.m, n, 2)
+        assert (gal.n, gal.n_in) == (basis.m * n, 2)
 
 
 class TestGramCheck:
@@ -234,13 +233,3 @@ class TestGramCheck:
                               weights=np.full(2 * basis.m, 0.5 / basis.m))
         self._refuses(basis, rule)
 
-
-class TestGalerkinSystem:
-    def test_as_lti_shares_matrices(self):
-        rng = np.random.default_rng(14)
-        aps, *_ = one_param_family(rng)
-        gal = assemble(aps, build_basis(aps.dists, 2))
-        lti = gal.as_lti()
-        assert lti.n == gal.dim
-        assert sp.issparse(lti.A)
-        assert lti.n_out == gal.n_out

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 from sgmor import (
     FrequencyRule,
     LTISystem,
-    ProjectionPair,
     arnoldi,
     pencil_spectrum,
     reduce,
@@ -42,8 +41,8 @@ class TestArnoldi:
         errs = []
         for r in (2, 5, 9):
             res = arnoldi(fom.E, fom.A, fom.B, s0=s0, r_max=r)
-            rom = reduce(fom, ProjectionPair(V=res.V))
-            H_r = transfer_eval(rom.as_lti(), s0)
+            rom = reduce(fom, res.V)
+            H_r = transfer_eval(rom, s0)
             errs.append(abs(H_r[0, 0] - H_full[0, 0]) / abs(H_full[0, 0]))
         # interpolation at s0 holds for every order; also improves nearby
         assert all(e < 1e-8 for e in errs)
@@ -51,8 +50,8 @@ class TestArnoldi:
         near = []
         for r in (2, 9):
             res = arnoldi(fom.E, fom.A, fom.B, s0=s0, r_max=r)
-            rom = reduce(fom, ProjectionPair(V=res.V))
-            near.append(abs(transfer_eval(rom.as_lti(), s0 + 0.2)[0, 0]
+            rom = reduce(fom, res.V)
+            near.append(abs(transfer_eval(rom, s0 + 0.2)[0, 0]
                             - H_near_full[0, 0]))
         assert near[1] < near[0]
 
@@ -100,39 +99,42 @@ class TestArnoldi:
             arnoldi(E, A, B, s0=2.0, r_max=2)
 
 
-class TestProjectionPair:
+class TestReduce:
     def test_orthonormality_enforced(self):
         rng = np.random.default_rng(66)
+        fom = make_fom(rng, 10)
         V = rng.standard_normal((10, 3))
         with pytest.raises(ValueError, match="orthonormal"):
-            ProjectionPair(V=V)
+            reduce(fom, V)
 
     def test_w_defaults_to_v(self):
         rng = np.random.default_rng(67)
+        fom = make_fom(rng, 10)
         V = random_orthonormal(rng, 10, 3)
-        pair = ProjectionPair(V=V)
-        assert pair.left() is pair.V
-        assert pair.r == 3
+        red, red_vv = reduce(fom, V), reduce(fom, V, V)
+        assert red.n == 3
+        for X, Y in ((red.E, red_vv.E), (red.A, red_vv.A), (red.B, red_vv.B),
+                     (red.C, red_vv.C)):
+            assert np.array_equal(X, Y)
 
     def test_w_shape_checked(self):
         rng = np.random.default_rng(68)
+        fom = make_fom(rng, 10)
         V = random_orthonormal(rng, 10, 3)
-        with pytest.raises(ValueError):
-            ProjectionPair(V=V, W=np.ones((10, 2)))
+        with pytest.raises(ValueError, match="same shape"):
+            reduce(fom, V, np.ones((10, 2)))
 
-
-class TestReduce:
     def test_matrices_are_projections(self):
         rng = np.random.default_rng(69)
         fom = make_fom(rng, 12, n_out=2)
         V = random_orthonormal(rng, 12, 4)
         W = rng.standard_normal((12, 4))
-        red = reduce(fom, ProjectionPair(V=V, W=W))
+        red = reduce(fom, V, W)
         assert_allclose(red.E, W.T @ fom.E @ V, rtol=1e-12)
         assert_allclose(red.A, W.T @ fom.A @ V, rtol=1e-12)
         assert_allclose(red.B, W.T @ fom.B, rtol=1e-12)
         assert_allclose(red.C, fom.C @ V, rtol=1e-12)
-        assert red.r == 4
+        assert red.n == 4
 
     def test_transfer_invariant_under_left_factor_scaling(self):
         # replacing W by W T with invertible T leaves the transfer function
@@ -141,18 +143,18 @@ class TestReduce:
         V = random_orthonormal(rng, 15, 4)
         W = rng.standard_normal((15, 4))
         T = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-        red1 = reduce(fom, ProjectionPair(V=V, W=W))
-        red2 = reduce(fom, ProjectionPair(V=V, W=W @ T))
+        red1 = reduce(fom, V, W)
+        red2 = reduce(fom, V, W @ T)
         for s in (0.5j, 1.0 + 2.0j):
-            assert_allclose(transfer_eval(red2.as_lti(), s),
-                            transfer_eval(red1.as_lti(), s), rtol=1e-8)
+            assert_allclose(transfer_eval(red2, s), transfer_eval(red1, s),
+                            rtol=1e-8)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(71)
         fom = make_fom(rng, 8)
         V = random_orthonormal(rng, 9, 2)
-        with pytest.raises(ValueError):
-            reduce(fom, ProjectionPair(V=V))
+        with pytest.raises(ValueError, match="dimension"):
+            reduce(fom, V)
 
 
 class TestStabilitySweep:
@@ -238,18 +240,29 @@ class TestStabilitySweep:
         H = on_grid(fom)
         flags, absc, errs = [], [], []
         for r in r_list:
-            red = reduce(fom, ProjectionPair(V=V[:, :r],
-                                             W=None if W is None else W[:, :r]))
+            red = reduce(fom, V[:, :r], None if W is None else W[:, :r])
             a = pencil_spectrum(red.E, red.A).abscissa
             flags.append(bool(a < 0))
             absc.append(a)
-            errs.append(np.sqrt(energy(H - on_grid(red.as_lti())) / energy(H)))
+            errs.append(np.sqrt(energy(H - on_grid(red)) / energy(H)))
 
         report = stability_sweep(fom, V, r_list, W_full=W, freq_rule=rule)
         assert report.failed_orders == []
         assert [row.stable for row in report.rows] == flags
         assert_allclose([row.abscissa for row in report.rows], absc, rtol=1e-12)
         assert_allclose([row.rel_h2_error for row in report.rows], errs, rtol=1e-12)
+
+    def test_error_reference_io_checked(self):
+        # a reference with another output count is a caller error, raised
+        # before any order is reduced, not one failed row per order
+        rng = np.random.default_rng(79)
+        fom = make_fom(rng, 12)
+        res = arnoldi(fom.E, fom.A, fom.B, s0=0.5, r_max=4)
+        reference = make_fom(rng, 12, n_out=2)
+        with pytest.raises(ValueError, match="input/output counts"):
+            stability_sweep(fom, res.V, [1, 2, 3, 4],
+                            freq_rule=FrequencyRule.gauss(20),
+                            error_reference=reference)
 
     def test_counts_and_unstable_orders(self):
         E = np.eye(2)

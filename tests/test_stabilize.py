@@ -228,10 +228,9 @@ class TestTechniqueI:
     def test_left_factor_stabilizes_all_orders(self):
         rng = np.random.default_rng(51)
         aps = stable_family(rng, 4, 2, part_scale=0.1)
-        gal = assemble(aps, build_basis(aps.dists, 2))
-        fom = gal.as_lti()
+        fom = assemble(aps, build_basis(aps.dists, 2))
         res = arnoldi(fom.E, fom.A, fom.B, r_max=10, s0=1.0)
-        out = technique_i(gal, res.V, rule=FrequencyRule.gauss(64))
+        out = technique_i(fom, res.V, rule=FrequencyRule.gauss(64))
         assert out.technique == "i"
         assert out.W.shape == res.V.shape
         assert out.diagnostics["nodes"] == 64
@@ -243,10 +242,9 @@ class TestTechniqueI:
         # with enough nodes W^T E V is SPD and sym(W^T A V) ND
         rng = np.random.default_rng(52)
         aps = stable_family(rng, 3, 1, part_scale=0.1)
-        gal = assemble(aps, build_basis(aps.dists, 2))
-        fom = gal.as_lti()
+        fom = assemble(aps, build_basis(aps.dists, 2))
         res = arnoldi(fom.E, fom.A, fom.B, r_max=4, s0=1.0)
-        W = technique_i(gal, res.V, rule=FrequencyRule.gauss(128)).W
+        W = technique_i(fom, res.V, rule=FrequencyRule.gauss(128)).W
         Er = W.T @ (fom.E @ res.V)
         Ar = W.T @ (fom.A @ res.V)
         assert is_dissipative(0.5 * (Er + Er.T), Ar).ok
@@ -260,10 +258,8 @@ class TestTechniqueII:
         quad = monte_carlo_rule(aps.dists, 40, seed=5)
         out = technique_ii(aps, basis, quad)
         assert out.technique == "ii"
-        gal_t = out.transformed
-        assert gal_t.provenance == "technique-ii"
-        Ed = np.asarray(gal_t.E)
-        Ad = np.asarray(gal_t.A)
+        Ed = np.asarray(out.transformed.E)
+        Ad = np.asarray(out.transformed.A)
         lam_E = np.linalg.eigvalsh(0.5 * (Ed + Ed.T))
         lam_S = np.linalg.eigvalsh(Ad + Ad.T)
         assert lam_E.min() >= -1e-10 * max(np.abs(lam_E).max(), 1.0)
@@ -284,7 +280,7 @@ class TestTechniqueII:
         aps = stable_family(rng, 3, 1, part_scale=0.1)
         basis = build_basis(aps.dists, 2)
         out = technique_ii(aps, basis, monte_carlo_rule(aps.dists, 50, seed=3))
-        fom_t = out.transformed.as_lti()
+        fom_t = out.transformed
         res = arnoldi(fom_t.E, fom_t.A, fom_t.B, r_max=6, s0=1.0)
         report = stability_sweep(fom_t, res.V, list(range(1, res.rank + 1)))
         assert all(row.stable for row in report.rows)
@@ -299,20 +295,18 @@ class TestTechniqueIII:
         F = random_spd(rng, 4)
         frozen = theta_family(aps, 0.0)
         basis = build_basis(frozen.dists, 1)
-        gal = assemble(frozen, basis)
-        fom = gal.as_lti()
+        fom = assemble(frozen, basis)
         res = arnoldi(fom.E, fom.A, fom.B, r_max=4, s0=1.0)
-        out = technique_iii(gal, frozen, res.V, F=F)
+        out = technique_iii(fom, frozen, res.V, F=F)
         lam_min_F = np.linalg.eigvalsh(F)[0]
         assert_allclose(out.diagnostics["margin"], -lam_min_F, atol=1e-8)
 
     def test_negative_margin_certifies_stability(self):
         rng = np.random.default_rng(57)
         aps = stable_family(rng, 4, 2, part_scale=0.02)
-        gal = assemble(aps, build_basis(aps.dists, 1))
-        fom = gal.as_lti()
+        fom = assemble(aps, build_basis(aps.dists, 1))
         res = arnoldi(fom.E, fom.A, fom.B, r_max=8, s0=1.0)
-        out = technique_iii(gal, aps, res.V)
+        out = technique_iii(fom, aps, res.V)
         assert out.diagnostics["margin"] < 0
         report = stability_sweep(fom, res.V, list(range(1, 9)), W_full=out.W)
         assert all(row.stable for row in report.rows)
@@ -320,18 +314,31 @@ class TestTechniqueIII:
     def test_mu_star_recorded(self):
         rng = np.random.default_rng(58)
         aps = stable_family(rng, 3, 2, part_scale=0.02)
-        gal = assemble(aps, build_basis(aps.dists, 1))
-        fom = gal.as_lti()
+        fom = assemble(aps, build_basis(aps.dists, 1))
         res = arnoldi(fom.E, fom.A, fom.B, r_max=3, s0=1.0)
-        out = technique_iii(gal, aps, res.V, mu_star=[0.1, -0.1])
+        out = technique_iii(fom, aps, res.V, mu_star=[0.1, -0.1])
         assert out.diagnostics["mu_star"] == [0.1, -0.1]
+
+    def test_block_count_must_divide(self):
+        # the state dimension of the family (3) does not divide that of a
+        # system projected from another family (2 blocks of 4 states)
+        rng = np.random.default_rng(59)
+        aps = stable_family(rng, 3, 1)
+        family4 = stable_family(rng, 4, 1)
+        other = assemble(family4, build_basis(family4.dists, 1))
+        V = np.linalg.qr(rng.standard_normal((other.n, 2)))[0]
+        with pytest.raises(ValueError, match="not a multiple"):
+            technique_iii(other, aps, V)
+        M_star = np.eye(aps.n)
+        with pytest.raises(ValueError, match="not a multiple"):
+            _technique_iii_margin(other, M_star)
 
     def test_sparse_margin_reproducible(self):
         # BPF degree 2 (dimension 6900) takes the eigsh branch; ARPACK with
         # a random start vector differed in the last digits between calls
         aps = regularize_affine(build_bandpass(), DEFAULT_BETA)
-        gal = assemble(aps, build_basis(aps.dists, 2))
+        fom = assemble(aps, build_basis(aps.dists, 2))
         at_mean = eval_at(aps, aps.nominal())
         M_star = solve_lyap_direct(at_mean.E, at_mean.A, np.eye(aps.n))
-        first = _technique_iii_margin(gal, M_star)
-        assert _technique_iii_margin(gal, M_star) == first
+        first = _technique_iii_margin(fom, M_star)
+        assert _technique_iii_margin(fom, M_star) == first
