@@ -24,8 +24,7 @@ from .stabilize import (CommutationReport, StabilizationOutcome,
                         technique_iii, theta_family)
 from .mor import (ArnoldiResult, StabilityReport, SweepRow, arnoldi, reduce,
                   stability_sweep)
-from .bench import (BpfConfig, MsdConfig, RunConfig, build_bandpass,
-                    build_msd, run_experiment)
+from .bench import RunConfig, build_bandpass, build_msd, run_experiment
 from .mmio import load_system, save_system
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,13 +13,15 @@ stability sweep over reduced orders, and deterministic CSV/JSON reporting.
 """
 
 import json
+import numbers
 import time
-from dataclasses import dataclass, asdict
+import typing
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .frequency import FrequencyRule
+from .frequency import DEFAULT_NODES, FrequencyRule
 from .galerkin import assemble
 from .mor import arnoldi, stability_sweep
 from .pce import Distribution, build_basis, monte_carlo_rule
@@ -47,52 +49,9 @@ BPF_LOAD_G = 1.0
 BPF_SERIES_LOSS = (25.0, 25.0, 25.0)
 BPF_SHUNT_LOSS = (25.0, 25.0, 25.0, 25.0)
 
-
-@dataclass(frozen=True)
-class MsdConfig:
-    """Nominal element values and relative spread of the mechanical chain."""
-
-    masses: tuple = MSD_MASSES
-    springs: tuple = MSD_SPRINGS
-    dampers: tuple = MSD_DAMPERS
-    variation: float = 0.10
-
-    def __post_init__(self):
-        if len(self.masses) != 5 or len(self.springs) != 7 or len(self.dampers) != 5:
-            raise ValueError("chain needs 5 masses, 7 springs, 5 dampers")
-        if any(v <= 0 for v in self.masses + self.springs + self.dampers):
-            raise ValueError("element values must be positive")
-        if not 0 < self.variation < 1:
-            raise ValueError("variation must be in (0, 1)")
-
-
-@dataclass(frozen=True)
-class BpfConfig:
-    """Element values and relative spread of the band-pass ladder."""
-
-    series_inductors: tuple = BPF_SERIES_L
-    series_capacitors: tuple = BPF_SERIES_C
-    shunt_inductors: tuple = BPF_SHUNT_L
-    shunt_capacitors: tuple = BPF_SHUNT_C
-    source_conductance: float = BPF_SOURCE_G
-    load_conductance: float = BPF_LOAD_G
-    series_loss: tuple = BPF_SERIES_LOSS
-    shunt_loss: tuple = BPF_SHUNT_LOSS
-    variation: float = 0.20
-
-    def __post_init__(self):
-        if (len(self.series_inductors) != 3 or len(self.series_capacitors) != 3
-                or len(self.shunt_inductors) != 4 or len(self.shunt_capacitors) != 4
-                or len(self.series_loss) != 3 or len(self.shunt_loss) != 4):
-            raise ValueError("ladder needs 3 series and 4 shunt resonators")
-        vals = (self.series_inductors + self.series_capacitors
-                + self.shunt_inductors + self.shunt_capacitors
-                + (self.source_conductance, self.load_conductance)
-                + self.series_loss + self.shunt_loss)
-        if any(v <= 0 for v in vals):
-            raise ValueError("element values must be positive")
-        if not 0 < self.variation < 1:
-            raise ValueError("variation must be in (0, 1)")
+# Relative half-width of each family's uniform parameter distributions.
+MSD_VARIATION = 0.10
+BPF_VARIATION = 0.20
 
 
 def _uniform_about(nominal: float, variation: float) -> Distribution:
@@ -104,8 +63,8 @@ _SPRING_PAIRS = ((None, 0), (0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (2, 4))
 _DAMPER_PAIRS = ((None, 0), (0, 1), (1, 2), (2, 3), (3, 4))
 
 
-def _stamp_graph(pairs, which, size=5):
-    K = np.zeros((size, size))
+def _stamp_graph(pairs, which):
+    K = np.zeros((5, 5))
     a, b = pairs[which]
     if a is None:
         K[b, b] = 1.0
@@ -117,16 +76,15 @@ def _stamp_graph(pairs, which, size=5):
     return K
 
 
-def build_msd(cfg: MsdConfig | None = None) -> AffineParamSystem:
+def build_msd() -> AffineParamSystem:
     """Mechanical chain in first-order form E x' = A x + B u, y = C x.
 
     State x = (positions, velocities).  The input forces the first mass
     through its wall spring, so the input matrix is affine in that spring's
     stiffness; the output is the position of the last mass.  Parameters in
-    order: 5 masses, 7 springs, 5 dampers, each uniform with the configured
-    relative spread about its nominal value.
+    order: 5 masses, 7 springs, 5 dampers (MSD_MASSES, MSD_SPRINGS,
+    MSD_DAMPERS), each uniform on nominal * (1 +- MSD_VARIATION).
     """
-    cfg = cfg or MsdConfig()
     n = 10
     E0 = np.zeros((n, n))
     E0[:5, :5] = np.eye(5)
@@ -137,15 +95,15 @@ def build_msd(cfg: MsdConfig | None = None) -> AffineParamSystem:
     C0[0, 4] = 1.0
 
     E_parts, A_parts, B_parts, C_parts, dists = [], [], [], [], []
-    for i, m_val in enumerate(cfg.masses):
+    for i, m_val in enumerate(MSD_MASSES):
         Ep = np.zeros((n, n))
         Ep[5 + i, 5 + i] = 1.0
         E_parts.append(Ep)
         A_parts.append(None)
         B_parts.append(None)
         C_parts.append(None)
-        dists.append(_uniform_about(m_val, cfg.variation))
-    for s, k_val in enumerate(cfg.springs):
+        dists.append(_uniform_about(m_val, MSD_VARIATION))
+    for s, k_val in enumerate(MSD_SPRINGS):
         Ap = np.zeros((n, n))
         Ap[5:, :5] = -_stamp_graph(_SPRING_PAIRS, s)
         E_parts.append(None)
@@ -157,15 +115,15 @@ def build_msd(cfg: MsdConfig | None = None) -> AffineParamSystem:
         else:
             B_parts.append(None)
         C_parts.append(None)
-        dists.append(_uniform_about(k_val, cfg.variation))
-    for d, d_val in enumerate(cfg.dampers):
+        dists.append(_uniform_about(k_val, MSD_VARIATION))
+    for d, d_val in enumerate(MSD_DAMPERS):
         Ap = np.zeros((n, n))
         Ap[5:, 5:] = -_stamp_graph(_DAMPER_PAIRS, d)
         E_parts.append(None)
         A_parts.append(Ap)
         B_parts.append(None)
         C_parts.append(None)
-        dists.append(_uniform_about(d_val, cfg.variation))
+        dists.append(_uniform_about(d_val, MSD_VARIATION))
 
     return AffineParamSystem(
         E0=E0, A0=A0, B0=B0, C0=C0,
@@ -175,7 +133,7 @@ def build_msd(cfg: MsdConfig | None = None) -> AffineParamSystem:
     )
 
 
-def build_bandpass(cfg: BpfConfig | None = None) -> AffineParamSystem:
+def build_bandpass() -> AffineParamSystem:
     """Band-pass ladder in modified nodal analysis, index-1 descriptor form.
 
     Topology: voltage source behind a source conductance feeding four
@@ -184,14 +142,14 @@ def build_bandpass(cfg: BpfConfig | None = None) -> AffineParamSystem:
     parallel with an inductor-resistor leg).  The output is the voltage at
     the load junction.  Unknowns: 15 node voltages, 7 inductor currents,
     1 source current.  Parameters in order: 7 capacitances, 7 inductances,
-    9 conductances (source, load, 7 losses), all uniform about nominal.
+    9 conductances (source, load, 7 losses), series before shunt, each
+    uniform on nominal * (1 +- BPF_VARIATION) about the BPF_* constants.
 
     The symmetric form of nodal analysis is used (flux and source branch
     rows negated), so A is symmetric and E is a symmetric indefinite
     diagonal of capacitances and negated inductances.  Row scaling leaves
     the transfer function and the spectrum untouched.
     """
-    cfg = cfg or BpfConfig()
     n = 23
     # node indices
     ns = 0                    # source node
@@ -249,42 +207,42 @@ def build_bandpass(cfg: BpfConfig | None = None) -> AffineParamSystem:
         return Ap
 
     # capacitances: 3 series then 4 shunt
-    for b, c_val in enumerate(cfg.series_capacitors):
+    for b, c_val in enumerate(BPF_SERIES_C):
         E_parts.append(cap_stamp(w2[b], junction[b + 1]))
         A_parts.append(None)
-        dists.append(_uniform_about(c_val, cfg.variation))
-    for t, c_val in enumerate(cfg.shunt_capacitors):
+        dists.append(_uniform_about(c_val, BPF_VARIATION))
+    for t, c_val in enumerate(BPF_SHUNT_C):
         E_parts.append(cap_stamp(junction[t], None))
         A_parts.append(None)
-        dists.append(_uniform_about(c_val, cfg.variation))
+        dists.append(_uniform_about(c_val, BPF_VARIATION))
     # inductances: 3 series then 4 shunt (negated rows, see above)
-    for b, l_val in enumerate(cfg.series_inductors):
+    for b, l_val in enumerate(BPF_SERIES_L):
         Ep = np.zeros((n, n))
         Ep[i_series[b], i_series[b]] = -1.0
         E_parts.append(Ep)
         A_parts.append(None)
-        dists.append(_uniform_about(l_val, cfg.variation))
-    for t, l_val in enumerate(cfg.shunt_inductors):
+        dists.append(_uniform_about(l_val, BPF_VARIATION))
+    for t, l_val in enumerate(BPF_SHUNT_L):
         Ep = np.zeros((n, n))
         Ep[i_shunt[t], i_shunt[t]] = -1.0
         E_parts.append(Ep)
         A_parts.append(None)
-        dists.append(_uniform_about(l_val, cfg.variation))
+        dists.append(_uniform_about(l_val, BPF_VARIATION))
     # conductances: source, load, 3 series losses, 4 shunt losses
     E_parts.append(None)
     A_parts.append(cond_stamp(ns, junction[0]))
-    dists.append(_uniform_about(cfg.source_conductance, cfg.variation))
+    dists.append(_uniform_about(BPF_SOURCE_G, BPF_VARIATION))
     E_parts.append(None)
     A_parts.append(cond_stamp(junction[3], None))
-    dists.append(_uniform_about(cfg.load_conductance, cfg.variation))
-    for b, g_val in enumerate(cfg.series_loss):
+    dists.append(_uniform_about(BPF_LOAD_G, BPF_VARIATION))
+    for b, g_val in enumerate(BPF_SERIES_LOSS):
         E_parts.append(None)
         A_parts.append(cond_stamp(w1[b], w2[b]))
-        dists.append(_uniform_about(g_val, cfg.variation))
-    for t, g_val in enumerate(cfg.shunt_loss):
+        dists.append(_uniform_about(g_val, BPF_VARIATION))
+    for t, g_val in enumerate(BPF_SHUNT_LOSS):
         E_parts.append(None)
         A_parts.append(cond_stamp(tank[t], None))
-        dists.append(_uniform_about(g_val, cfg.variation))
+        dists.append(_uniform_about(g_val, BPF_VARIATION))
 
     none_parts = tuple([None] * len(dists))
     return AffineParamSystem(
@@ -308,6 +266,10 @@ MODELS = {
 }
 MODEL_FIELDS = ("expansion_point", "omega_scale", "stab_scale", "beta")
 
+# A field annotated int takes any integral number and one annotated float
+# any real number; a bool, though an int, only a field annotated bool.
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real}
+
 
 @dataclass
 class RunConfig:
@@ -324,12 +286,21 @@ class RunConfig:
     beta: float | None = None
     seed: int = 0
     with_errors: bool = True
-    error_nodes: int = 200
+    error_nodes: int = DEFAULT_NODES
     omega_scale: float | None = None
     stab_scale: float | None = None
     out: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = (typing.get_args(f.type) or (f.type,))[0]  # X of X | None
+            if value is None and f.default is None:
+                continue
+            if (isinstance(value, bool) != (kind is bool)
+                    or not isinstance(value, _ACCEPTS.get(kind, kind))):
+                raise ValueError(f"config key {f.name!r} must be {kind.__name__}, "
+                                 f"not {value!r}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {', '.join(MODELS)}")
         if self.technique not in ("none", "i", "ii", "iii"):
@@ -420,12 +391,11 @@ def run_experiment(cfg: RunConfig) -> dict:
     W = None if outcome is None else outcome.W
     diag = {} if outcome is None else outcome.diagnostics
 
-    r_list = list(range(1, min(cfg.r_max, arn.V.shape[1]) + 1))
     freq_rule = None
     if cfg.with_errors:
         freq_rule = FrequencyRule.gauss(cfg.error_nodes, omega_scale=cfg.omega_scale)
     t0 = time.perf_counter()
-    report = stability_sweep(fom, arn.V, r_list, W_full=W, freq_rule=freq_rule,
+    report = stability_sweep(fom, arn.V, W_full=W, freq_rule=freq_rule,
                              error_reference=error_reference)
     timings["sweep"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start

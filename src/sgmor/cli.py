@@ -24,12 +24,13 @@ def _run_fields(args) -> dict:
     return {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
 
 
-def _error_rule(args, extra: dict, nodes: int) -> FrequencyRule:
+def _error_rule(args, extra: dict) -> FrequencyRule:
     """Error grid at --omega-scale, else at the manifest's recorded scale,
-    else at FrequencyRule's own; --nodes overrides the node count."""
+    else at FrequencyRule's own; --nodes overrides DEFAULT_NODES."""
     scale = getattr(args, "omega_scale",
                     extra.get("omega_scale", FrequencyRule.omega_scale))
-    return FrequencyRule.gauss(getattr(args, "nodes", nodes), omega_scale=scale)
+    return FrequencyRule.gauss(getattr(args, "nodes", DEFAULT_NODES),
+                               omega_scale=scale)
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
@@ -100,9 +101,8 @@ def _cmd_reduce(args) -> int:
     np.savetxt(out_dir / "V.txt", arn.V)
     rule = None
     if getattr(args, "with_errors", RunConfig.with_errors):
-        rule = _error_rule(args, extra, RunConfig.error_nodes)
-    report = stability_sweep(sys_full, arn.V, list(range(1, arn.rank + 1)),
-                             freq_rule=rule)
+        rule = _error_rule(args, extra)
+    report = stability_sweep(sys_full, arn.V, freq_rule=rule)
     report.to_csv(out_dir / "sweep.csv")
     print(f"Krylov basis of rank {arn.rank}"
           + (" (breakdown)" if arn.breakdown else ""))
@@ -131,8 +131,7 @@ def _cmd_stabilize(args) -> int:
 def _cmd_h2error(args) -> int:
     fom, extra = load_system(args.fom)
     rom, _ = load_system(args.rom)
-    err = h2_relative_error(fom, rom,
-                            freq_rule=_error_rule(args, extra, DEFAULT_NODES))
+    err = h2_relative_error(fom, rom, freq_rule=_error_rule(args, extra))
     print(f"relative H2 error: {err:.6e}")
     return 0
 

@@ -104,6 +104,6 @@ class FrequencyRule:
         return omegas[order], gw[order], jac[order]
 
 
-def default_rule(omega_scale: float = 1.0) -> FrequencyRule:
+def default_rule() -> FrequencyRule:
     """The 200-node rule used when callers do not supply their own."""
-    return FrequencyRule.gauss(DEFAULT_NODES, omega_scale=omega_scale)
+    return FrequencyRule.gauss(DEFAULT_NODES)

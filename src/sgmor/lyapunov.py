@@ -10,7 +10,7 @@ stabilizing projection matrices are built from.
 import numpy as np
 import scipy.linalg as sla
 
-from .frequency import FrequencyRule, default_rule
+from .frequency import FrequencyRule
 # pencil_spectrum is unused here; perfbench/tracer.py wraps it by this attribute
 from .systems import _as_dense, _pencil, pencil_spectrum, shifted_solver  # noqa: F401
 
@@ -58,7 +58,7 @@ def solve_lyap_direct(E, A, F) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def freq_projection(E, A, F, V, rule: FrequencyRule | None = None) -> np.ndarray:
+def freq_projection(E, A, F, V, rule: FrequencyRule) -> np.ndarray:
     """W = M E V by frequency-domain quadrature, without forming M.
 
     Each node contributes Re[(i w E - A)^-H F (i w E - A)^-1 E V]; one LU
@@ -66,8 +66,6 @@ def freq_projection(E, A, F, V, rule: FrequencyRule | None = None) -> np.ndarray
     transposed solve.  The pencil (E, A) must be asymptotically stable with
     nonsingular E for the integral to equal the Lyapunov solution.
     """
-    if rule is None:
-        rule = default_rule()
     V = np.atleast_2d(np.asarray(V, dtype=float))
     if V.shape[0] == 1 and E.shape[0] != 1:
         V = V.T

@@ -144,16 +144,15 @@ class StabilityReport:
         return text
 
 
-def stability_sweep(fom: LTISystem, V_full, r_list, W_full=None,
+def stability_sweep(fom: LTISystem, V_full, W_full=None,
                     freq_rule: FrequencyRule | None = None,
                     error_reference: LTISystem | None = None) -> StabilityReport:
-    """Reduce at every order in r_list and classify stability.
+    """Reduce at every order r = 1..V_full.shape[1]; classify stability.
 
-    r_list must be strictly increasing and bounded by the Krylov basis width.
-    The system is projected once, onto the first r_max = r_list[-1] columns
-    of V_full and W_full.  The model of order r is that projection's leading
-    block E[:r, :r], A[:r, :r], B[:r], C[:, :r], which is exactly the
-    projection onto the first r columns.
+    The system is projected once, onto all columns of V_full and W_full.
+    The model of order r is that projection's leading block E[:r, :r],
+    A[:r, :r], B[:r], C[:, :r], which is exactly the projection onto the
+    first r columns.
 
     With freq_rule given, relative H2 errors are computed on that shared grid
     against error_reference (the reduction target fom by default; pass the
@@ -163,17 +162,12 @@ def stability_sweep(fom: LTISystem, V_full, r_list, W_full=None,
     The reference transfer function is evaluated once; each order's is one
     transfer_on_grid call, which solves all grid points in one stacked call.
 
-    A failure of the r_max projection fails every row.  A failure at one
+    A failure of the full projection fails every row.  A failure at one
     order (its QZ, or a singular reduced pencil on the grid) is recorded in
     that row's note and the sweep continues.  Failed rows are listed in
     failed_orders, not in unstable_orders.
     """
     V_full = np.atleast_2d(np.asarray(V_full, dtype=float))
-    r_list = list(r_list)
-    if any(b <= a for a, b in zip(r_list, r_list[1:])):
-        raise ValueError("r_list must be strictly increasing")
-    if not r_list or r_list[0] < 1 or r_list[-1] > V_full.shape[1]:
-        raise ValueError("orders must lie in 1..V.shape[1]")
     if W_full is not None:
         W_full = np.atleast_2d(np.asarray(W_full, dtype=float))
         if W_full.shape != V_full.shape:
@@ -197,15 +191,14 @@ def stability_sweep(fom: LTISystem, V_full, r_list, W_full=None,
         return SweepRow(r=r, stable=False, abscissa=float("nan"),
                         rel_h2_error=None, note=str(exc))
 
-    r_max = r_list[-1]
+    orders = range(1, V_full.shape[1] + 1)
     try:
-        full = reduce(fom, V_full[:, :r_max],
-                      None if W_full is None else W_full[:, :r_max])
+        full = reduce(fom, V_full, W_full)
     except Exception as exc:
-        return StabilityReport(rows=[failed(r, exc) for r in r_list])
+        return StabilityReport(rows=[failed(r, exc) for r in orders])
 
     rows = []
-    for r in r_list:
+    for r in orders:
         try:
             rom = LTISystem(E=full.E[:r, :r], A=full.A[:r, :r], B=full.B[:r],
                             C=full.C[:, :r])

@@ -217,19 +217,14 @@ def _univariate_moment_table(dist: Distribution, degree: int) -> np.ndarray:
 
     The integrand has polynomial degree at most 2 * degree + 1, so a Gauss
     rule with degree + 2 nodes (exact through degree 2 * degree + 3) is used.
-    Orthogonality makes J tridiagonal; entries off the three central
-    diagonals are exact zeros and are never stored.
+    Orthogonality makes J tridiagonal: entries off the three central
+    diagonals are zero up to rounding, and moment_matrix reads only the
+    central three.
     """
     xi, w = dist.gauss_points(degree + 2)
     psi = _orthonormal_1d(dist, xi, degree)
     x_phys = dist.unstandardize(xi)
-    full = np.einsum("k,ak,bk->ab", w * x_phys, psi, psi)
-    J = np.zeros_like(full)
-    for a in range(degree + 1):
-        lo = max(0, a - 1)
-        hi = min(degree, a + 1)
-        J[a, lo:hi + 1] = full[a, lo:hi + 1]
-    return J
+    return np.einsum("k,ak,bk->ab", w * x_phys, psi, psi)
 
 
 def moment_matrix(basis: PCBasis, l: int):
@@ -286,11 +281,11 @@ class QuadratureRule:
         return self.weights.size
 
 
-def tensor_rule(dists, nodes_per_dim: int, cap: int = TENSOR_NODE_CAP) -> QuadratureRule:
+def tensor_rule(dists, nodes_per_dim: int) -> QuadratureRule:
     """Full tensor Gauss rule in physical coordinates.
 
-    Refuses to build grids larger than cap nodes; use monte_carlo_rule for
-    high-dimensional parameter spaces instead.
+    Refuses to build grids larger than TENSOR_NODE_CAP nodes; use
+    monte_carlo_rule for high-dimensional parameter spaces instead.
     """
     dists = tuple(dists)
     q = len(dists)
@@ -299,9 +294,9 @@ def tensor_rule(dists, nodes_per_dim: int, cap: int = TENSOR_NODE_CAP) -> Quadra
     if nodes_per_dim < 1:
         raise ValueError("nodes_per_dim must be positive")
     total = nodes_per_dim ** q
-    if total > cap:
+    if total > TENSOR_NODE_CAP:
         raise ValueError(
-            f"tensor grid with {total} nodes exceeds the cap of {cap}; "
+            f"tensor grid with {total} nodes exceeds the cap of {TENSOR_NODE_CAP}; "
             "use monte_carlo_rule for this many parameters"
         )
     axes, wts = [], []

@@ -25,7 +25,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .frequency import FrequencyRule, default_rule
+from .frequency import FrequencyRule
 from .galerkin import assemble, assemble_output, assemble_via_quadrature
 from .lyapunov import freq_projection, solve_lyap_direct
 from .pce import PCBasis, QuadratureRule
@@ -98,49 +98,37 @@ class StabilizationOutcome:
             raise ValueError("exactly one of W and transformed must be set")
 
 
-def _default_F(dim):
-    return sp.identity(dim, format="csr")
-
-
-def technique_i(fom: LTISystem, V, rule: FrequencyRule | None = None,
-                F=None) -> StabilizationOutcome:
+def technique_i(fom: LTISystem, V, rule: FrequencyRule) -> StabilizationOutcome:
     """Left factor W = M E V from the projected system's Lyapunov solution.
 
-    M solves A^T M E + E^T M A + F = 0 for the pencil of the projected
+    M solves A^T M E + E^T M A + I = 0 for the pencil of the projected
     system fom, which must be asymptotically stable.  W is computed by
-    frequency-domain quadrature with one sparse factorization per node and
-    is returned unnormalized.
+    frequency-domain quadrature on rule with one sparse factorization per
+    node and is returned unnormalized.
     """
-    if rule is None:
-        rule = default_rule()
-    if F is None:
-        F = _default_F(fom.n)
+    F = sp.identity(fom.n, format="csr")
     W = freq_projection(fom.E, fom.A, F, V, rule)
     return StabilizationOutcome(
         technique="i", W=W,
         diagnostics={"nodes": rule.n_nodes, "omega_scale": rule.omega_scale})
 
 
-def technique_ii(aps: AffineParamSystem, basis: PCBasis, quad: QuadratureRule,
-                 F=None) -> StabilizationOutcome:
+def technique_ii(aps: AffineParamSystem, basis: PCBasis,
+                 quad: QuadratureRule) -> StabilizationOutcome:
     """Per-realization Lyapunov transform followed by quadrature projection.
 
     At every node mu_k the matrices are replaced by E^T M E, E^T M A, E^T M B
-    with M = M(mu_k) solving the local Lyapunov equation; the transformed
-    realization is dissipative by construction, and any positive-weight
-    quadrature sum of dissipative realizations stays dissipative.  That needs
+    with M = M(mu_k) solving the local Lyapunov equation
+    A^T M E + E^T M A + I = 0; the transformed realization is dissipative by
+    construction, and any positive-weight quadrature sum of dissipative
+    realizations stays dissipative.  That needs
     two conditions on the quadrature: positive weights, and a positive
     definite chaos Gram matrix sum_k w_k s(mu_k) s(mu_k)^T, which takes at
     least m = basis.m nodes; assemble_via_quadrature raises ValueError when
     either fails.  The output matrix is untouched by the transform, so the
     exact projected C is attached.
     """
-    n = aps.n
-    if F is None:
-        F = np.eye(n)
-    F = _as_dense(F)
-    if F.shape != (n, n):
-        raise ValueError("F must match the state dimension of the family")
+    F = np.eye(aps.n)
 
     def transformed_matrices(mu):
         sys_mu = eval_at(aps, mu)
@@ -164,19 +152,17 @@ def _block_count(fom: LTISystem, n: int) -> int:
     return m
 
 
-def technique_iii(fom: LTISystem, aps: AffineParamSystem, V,
-                  mu_star=None, F=None) -> StabilizationOutcome:
+def technique_iii(fom: LTISystem, aps: AffineParamSystem, V, F=None) -> StabilizationOutcome:
     """Blockwise left factor from one Lyapunov solution at a reference point.
 
     fom is the projection of aps; its m = fom.n / aps.n chaos blocks share
-    M*.  W = (I (x) M*) E V with M* solving the Lyapunov equation of the
-    realization at mu_star (the parameter means by default).  The margin
-    lambda_max(E^T (I (x) M*) A + transpose) is reported in the diagnostics;
-    a negative margin certifies that every reduction from (W, V) is stable.
+    M*.  W = (I (x) M*) E V with M* solving the Lyapunov equation, F = I
+    unless given, of the realization at the parameter means mu_star.  The
+    diagnostics report mu_star and the margin lambda_max(E^T (I (x) M*) A
+    + transpose); a negative margin certifies that every reduction from
+    (W, V) is stable.
     """
-    if mu_star is None:
-        mu_star = aps.nominal()
-    mu_star = np.atleast_1d(np.asarray(mu_star, dtype=float))
+    mu_star = aps.nominal()
     n = aps.n
     m = _block_count(fom, n)
     if F is None:

@@ -426,11 +426,10 @@ def _check_same_io(fom: LTISystem, rom: LTISystem):
 
 
 def h2_relative_error(fom: LTISystem, rom: LTISystem,
-                      freq_rule: FrequencyRule | None = None,
-                      omega_scale: float = 1.0) -> float:
-    """Relative H2 error ||H - H_r|| / ||H|| on a shared frequency grid."""
+                      freq_rule: FrequencyRule | None = None) -> float:
+    """Relative H2 error ||H - H_r|| / ||H|| on freq_rule (default_rule() if None)."""
     _check_same_io(fom, rom)
-    rule = freq_rule if freq_rule is not None else default_rule(omega_scale)
+    rule = freq_rule if freq_rule is not None else default_rule()
     omegas, gw, jac = rule.half()
     weights = gw * jac
     Hf = transfer_on_grid(fom, omegas)

@@ -5,8 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sgmor import (
-    BpfConfig,
-    MsdConfig,
     RunConfig,
     build_bandpass,
     build_msd,
@@ -18,10 +16,29 @@ from sgmor import (
     transfer_eval,
 )
 from sgmor.bench import (
+    BPF_LOAD_G,
+    BPF_SERIES_C,
+    BPF_SERIES_L,
+    BPF_SERIES_LOSS,
+    BPF_SHUNT_C,
+    BPF_SHUNT_L,
+    BPF_SHUNT_LOSS,
+    BPF_SOURCE_G,
+    BPF_VARIATION,
     MSD_DAMPERS,
     MSD_MASSES,
     MSD_SPRINGS,
+    MSD_VARIATION,
 )
+
+
+def assert_uniform_about(aps, nominals, variation):
+    """Every parameter is uniform on nominal * (1 +- variation)."""
+    nominals = np.asarray(nominals)
+    assert [d.kind for d in aps.dists] == ["uniform"] * nominals.size
+    assert_allclose([d.params for d in aps.dists],
+                    np.column_stack([nominals * (1 - variation),
+                                     nominals * (1 + variation)]), rtol=1e-15)
 
 
 def msd_stiffness(springs):
@@ -62,6 +79,8 @@ class TestMsdModel:
         assert_allclose(means[:5], MSD_MASSES)
         assert_allclose(means[5:12], MSD_SPRINGS)
         assert_allclose(means[12:], MSD_DAMPERS)
+        assert_uniform_about(aps, MSD_MASSES + MSD_SPRINGS + MSD_DAMPERS,
+                             MSD_VARIATION)
 
     def test_nominal_realization_structure(self):
         aps = build_msd()
@@ -98,16 +117,23 @@ class TestMsdModel:
             assert pencil_spectrum(np.asarray(sysm.E),
                                    np.asarray(sysm.A)).abscissa < 0
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MsdConfig(masses=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            MsdConfig(dampers=(0.1, 0.1, 0.1, 0.1, -0.1))
-        with pytest.raises(ValueError):
-            MsdConfig(variation=1.5)
-
 
 class TestBandpassModel:
+    def test_parameter_layout(self):
+        aps = build_bandpass()
+        nominals = (BPF_SERIES_C + BPF_SHUNT_C + BPF_SERIES_L + BPF_SHUNT_L
+                    + (BPF_SOURCE_G, BPF_LOAD_G) + BPF_SERIES_LOSS + BPF_SHUNT_LOSS)
+        assert_allclose(aps.nominal(), nominals)
+        assert_uniform_about(aps, nominals, BPF_VARIATION)
+        # 7 capacitances stamp E positively, 7 inductances negate one E
+        # diagonal entry (symmetric nodal form), 9 conductances stamp A
+        E_trace = [None if Ep is None else np.trace(Ep) for Ep in aps.E_parts]
+        assert all(t is not None and t > 0 for t in E_trace[:7])
+        assert E_trace[7:14] == [-1.0] * 7
+        assert E_trace[14:] == [None] * 9
+        assert all(Ap is None for Ap in aps.A_parts[:14])
+        assert all(Ap is not None for Ap in aps.A_parts[14:])
+
     def test_dimensions_and_symmetry(self):
         aps = build_bandpass()
         assert aps.q == 23
@@ -150,12 +176,6 @@ class TestBandpassModel:
         assert spectrum.abscissa < 0
         assert np.linalg.matrix_rank(np.asarray(sysn.E)) == 23
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BpfConfig(series_inductors=(1e-5, 1e-5))
-        with pytest.raises(ValueError):
-            BpfConfig(load_conductance=0.0)
-
 
 class TestRunConfig:
     def test_defaults(self):
@@ -179,6 +199,18 @@ class TestRunConfig:
             RunConfig(technique="iv")
         with pytest.raises(ValueError):
             RunConfig(r_max=0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("with_errors", "false"), ("with_errors", 0), ("degree", 1.0),
+        ("degree", True), ("r_max", "30"), ("nodes", None), ("beta", "1e-5"),
+        ("expansion_point", False), ("model", 1), ("out", 3)])
+    def test_from_dict_rejects_wrong_types(self, key, value):
+        # a JSON config's "false" is truthy and 1.0 or "30" fail deep inside
+        # the pipeline, so each is refused up front, naming the key
+        with pytest.raises(ValueError, match=key):
+            RunConfig.from_dict({key: value})
+        # an integer is a valid float
+        assert RunConfig.from_dict({"expansion_point": 2}).expansion_point == 2
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):

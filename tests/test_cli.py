@@ -127,7 +127,7 @@ class TestStabilizeCommand:
         fom, _ = load_system(tmp_path / "fom")
         V = np.loadtxt(tmp_path / "fac" / "V.txt")
         W = np.loadtxt(tmp_path / "fac" / "W.txt")
-        report = stability_sweep(fom, V, range(1, V.shape[1] + 1), W_full=W)
+        report = stability_sweep(fom, V, W_full=W)
         assert len(report.rows) == 30
         assert report.unstable_orders == []
         assert report.failed_orders == []
