@@ -316,6 +316,9 @@ class RunConfig:
         for name in MODEL_FIELDS:
             if getattr(self, name) is None:
                 setattr(self, name, MODELS[self.model][name])
+        for name in ("omega_scale", "stab_scale"):  # fail now, not after Arnoldi
+            if not getattr(self, name) > 0:
+                raise ValueError(f"config key {name!r} must be positive")
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":

@@ -15,8 +15,7 @@ from .bench import (MODEL_FIELDS, MODELS, RunConfig, project, run_experiment,
                     stabilized_basis)
 from .frequency import DEFAULT_NODES, FrequencyRule
 from .mmio import load_system, save_system
-from .mor import arnoldi, stability_sweep
-from .systems import h2_relative_error
+from .mor import arnoldi, h2_relative_error, stability_sweep
 
 
 def _run_fields(args) -> dict:

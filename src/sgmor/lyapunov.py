@@ -74,12 +74,12 @@ def freq_projection(E, A, F, V, rule: FrequencyRule) -> np.ndarray:
         raise ValueError("V must have as many rows as E")
     E, A = _pencil(E, A)
     EV = E @ V
-    omegas, gw, jac = rule.half()
+    omegas, weights = rule.half()
     W = np.zeros((n, V.shape[1]))
     for j, om in enumerate(omegas):
         solve = shifted_solver(E, A, 1j * om)
         Y = solve(F @ solve(EV), adjoint=True)
-        W += (gw[j] * jac[j]) * Y.real
+        W += weights[j] * Y.real
     return W / (2.0 * np.pi)
 
 

@@ -4,7 +4,8 @@ One-sided Arnoldi builds an orthonormal basis of the moment-matching Krylov
 space at an expansion point; Petrov-Galerkin projection with an optional
 separate left factor produces the reduced matrices.  A sweep driver reduces
 at increasing orders, classifies stability of every reduced pencil, and
-optionally attaches relative H2 errors, emitting a CSV-ready report.
+optionally attaches relative H2 errors (h2_relative_error's code path),
+emitting a CSV-ready report.
 """
 
 import csv
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frequency import FrequencyRule
-from .systems import (LTISystem, _as_dense, _check_same_io, _weighted_energy,
-                      pencil_spectrum, shifted_solver, transfer_on_grid)
+from .frequency import DEFAULT_NODES, FrequencyRule
+from .systems import (LTISystem, _as_dense, _weighted_energy, pencil_spectrum,
+                      shifted_solver, transfer_on_grid)
 
 BREAKDOWN_RTOL = 1e-13
 
@@ -144,6 +145,27 @@ class StabilityReport:
         return text
 
 
+def _relative_error_fn(reference: LTISystem, rule: FrequencyRule, target: LTISystem):
+    """rom -> ||H_ref - H_rom|| / ||H_ref|| on rule for reduced models with
+    target's input/output counts; the reference is evaluated once."""
+    if target.n_in != reference.n_in or target.n_out != reference.n_out:
+        raise ValueError("full and reduced systems must share input/output counts")
+    omegas, weights = rule.half()
+    ref_vals = transfer_on_grid(reference, omegas)
+    den = _weighted_energy(weights, ref_vals)
+    if den <= 0.0:
+        raise ValueError("reference system has zero response on the error grid")
+    return lambda rom: float(np.sqrt(
+        _weighted_energy(weights, ref_vals - transfer_on_grid(rom, omegas)) / den))
+
+
+def h2_relative_error(fom: LTISystem, rom: LTISystem,
+                      freq_rule: FrequencyRule | None = None) -> float:
+    """Relative H2 error ||H - H_r|| / ||H|| on freq_rule (DEFAULT_NODES Gauss if None)."""
+    rule = FrequencyRule.gauss(DEFAULT_NODES) if freq_rule is None else freq_rule
+    return _relative_error_fn(fom, rule, rom)(rom)
+
+
 def stability_sweep(fom: LTISystem, V_full, W_full=None,
                     freq_rule: FrequencyRule | None = None,
                     error_reference: LTISystem | None = None) -> StabilityReport:
@@ -158,7 +180,7 @@ def stability_sweep(fom: LTISystem, V_full, W_full=None,
     against error_reference (the reduction target fom by default; pass the
     untransformed system when fom was re-assembled by a transformation).
     An error_reference whose input or output count differs from fom's raises
-    ValueError before any order is reduced.
+    ValueError before any order is reduced; without freq_rule it is unused.
     The reference transfer function is evaluated once; each order's is one
     transfer_on_grid call, which solves all grid points in one stacked call.
 
@@ -172,20 +194,10 @@ def stability_sweep(fom: LTISystem, V_full, W_full=None,
         W_full = np.atleast_2d(np.asarray(W_full, dtype=float))
         if W_full.shape != V_full.shape:
             raise ValueError("W must have the same shape as V")
-    if error_reference is not None:
-        _check_same_io(fom, error_reference)
-
-    fom_vals = None
-    weights = None
-    den = None
+    error = None
     if freq_rule is not None:
         reference = fom if error_reference is None else error_reference
-        omegas, gw, jac = freq_rule.half()
-        weights = gw * jac
-        fom_vals = transfer_on_grid(reference, omegas)
-        den = _weighted_energy(weights, fom_vals)
-        if den <= 0.0:
-            raise ValueError("reference system has zero response on the error grid")
+        error = _relative_error_fn(reference, freq_rule, fom)
 
     def failed(r, exc):
         return SweepRow(r=r, stable=False, abscissa=float("nan"),
@@ -204,12 +216,8 @@ def stability_sweep(fom: LTISystem, V_full, W_full=None,
                             C=full.C[:, :r])
             spectrum = pencil_spectrum(rom.E, rom.A)
             stable = bool(spectrum.abscissa < 0)
-            err = None
-            if freq_rule is not None:
-                rom_vals = transfer_on_grid(rom, omegas)
-                err = float(np.sqrt(_weighted_energy(weights, fom_vals - rom_vals) / den))
             rows.append(SweepRow(r=r, stable=stable, abscissa=float(spectrum.abscissa),
-                                 rel_h2_error=err))
+                                 rel_h2_error=None if error is None else error(rom)))
         except Exception as exc:
             rows.append(failed(r, exc))
     return StabilityReport(rows=rows)

@@ -29,7 +29,7 @@ from .frequency import FrequencyRule
 from .galerkin import assemble, assemble_output, assemble_via_quadrature
 from .lyapunov import freq_projection, solve_lyap_direct
 from .pce import PCBasis, QuadratureRule
-from .systems import AffineParamSystem, LTISystem, _as_dense, eval_at
+from .systems import AffineParamSystem, LTISystem, _affine_sum, _as_dense, eval_at
 
 DEFAULT_BETA = 1e-5
 
@@ -213,23 +213,16 @@ def theta_family(aps: AffineParamSystem, theta: float) -> AffineParamSystem:
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    mu_bar = aps.nominal()
-
-    def shift_const(const, parts):
-        total = const.copy()
-        for l, part in enumerate(parts):
-            if part is not None:
-                total = total + (1.0 - theta) * mu_bar[l] * part
-        return total
+    mu_shift = (1.0 - theta) * aps.nominal()
 
     def scale_parts(parts):
         return tuple(None if p is None else theta * p for p in parts)
 
     return AffineParamSystem(
-        E0=shift_const(aps.E0, aps.E_parts),
-        A0=shift_const(aps.A0, aps.A_parts),
-        B0=shift_const(aps.B0, aps.B_parts),
-        C0=shift_const(aps.C0, aps.C_parts),
+        E0=_affine_sum(aps.E0, aps.E_parts, mu_shift),
+        A0=_affine_sum(aps.A0, aps.A_parts, mu_shift),
+        B0=_affine_sum(aps.B0, aps.B_parts, mu_shift),
+        C0=_affine_sum(aps.C0, aps.C_parts, mu_shift),
         E_parts=scale_parts(aps.E_parts),
         A_parts=scale_parts(aps.A_parts),
         B_parts=scale_parts(aps.B_parts),

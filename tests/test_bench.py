@@ -200,6 +200,14 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(r_max=0)
 
+    @pytest.mark.parametrize("key", ["omega_scale", "stab_scale"])
+    @pytest.mark.parametrize("value", [0.0, float("nan")])
+    def test_nonpositive_scale_rejected(self, key, value):
+        # refused when the config is built, naming the key, not when the
+        # technique-i or error rule is built after projection and Arnoldi
+        with pytest.raises(ValueError, match=key):
+            RunConfig(technique="i", **{key: value})
+
     @pytest.mark.parametrize("key, value", [
         ("with_errors", "false"), ("with_errors", 0), ("degree", 1.0),
         ("degree", True), ("r_max", "30"), ("nodes", None), ("beta", "1e-5"),

@@ -1,80 +1,78 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
-from sgmor import DEFAULT_NODES, FrequencyRule, default_rule
+from sgmor import FrequencyRule
 
 
 class TestConstruction:
     def test_gauss_properties(self):
         rule = FrequencyRule.gauss(64)
+        omegas, weights = rule.half()
         assert rule.n_nodes == 64
-        assert np.all(np.diff(rule.theta) > 0)
-        assert np.all(np.abs(rule.theta) < np.pi / 2)
-        assert_allclose(rule.theta, -rule.theta[::-1], atol=1e-15)
-        # weights integrate the constant over (-pi/2, pi/2)
-        assert_allclose(rule.theta_weights.sum(), np.pi, rtol=1e-13)
+        assert omegas.size == weights.size == 32
+        assert np.all(omegas > 0)
+        assert np.all(np.diff(omegas) > 0)
+        assert np.all(weights > 0)
 
     def test_omega_scale(self):
-        r1 = FrequencyRule.gauss(16, omega_scale=1.0)
-        r2 = FrequencyRule.gauss(16, omega_scale=100.0)
-        assert_allclose(r2.omegas, 100.0 * r1.omegas, rtol=1e-13)
-
-    def test_default_rule(self):
-        rule = default_rule()
-        assert rule.n_nodes == DEFAULT_NODES
-        assert rule.omega_scale == 1.0
+        om1, w1 = FrequencyRule.gauss(16, omega_scale=1.0).half()
+        om2, w2 = FrequencyRule.gauss(16, omega_scale=100.0).half()
+        assert_allclose(om2, 100.0 * om1, rtol=1e-13)
+        assert_allclose(w2, 100.0 * w1, rtol=1e-13)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             FrequencyRule.gauss(1)
         with pytest.raises(ValueError):
-            FrequencyRule(theta=np.array([0.1, 0.2]),
-                          theta_weights=np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            FrequencyRule(theta=np.array([-0.1, 0.1]),
-                          theta_weights=np.array([0.5, -0.5]))
-        with pytest.raises(ValueError):
-            FrequencyRule(theta=np.array([-2.0, 2.0]),
-                          theta_weights=np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
             FrequencyRule.gauss(8, omega_scale=-1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            FrequencyRule(omegas=np.array([-0.1, 0.2]), weights=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="positive"):
+            FrequencyRule(omegas=np.array([0.1, 0.2]), weights=np.array([0.5, 0.0]))
+        with pytest.raises(ValueError, match="equal length"):
+            FrequencyRule(omegas=np.array([0.1, 0.2]), weights=np.array([0.5]))
+        with pytest.raises(ValueError, match="nonempty"):
+            FrequencyRule(omegas=np.array([]), weights=np.array([]))
 
 
 class TestIntegration:
     def test_lorentzian_integral(self):
         # (1/2pi) int 1 / (1 + omega^2) d omega = 1/2
-        rule = FrequencyRule.gauss(40)
-        om = rule.omegas
-        jac = rule.omega_scale * (1.0 + np.tan(rule.theta) ** 2)
-        val = (rule.theta_weights * jac / (1.0 + om ** 2)).sum() / (2 * np.pi)
+        om, w = FrequencyRule.gauss(40).half()
+        val = (w / (1.0 + om ** 2)).sum() / (2 * np.pi)
         assert_allclose(val, 0.5, rtol=1e-12)
 
     def test_scaled_lorentzian(self):
         # width-a Lorentzian integrates best when omega_scale matches a
         a = 1.0e4
-        rule = FrequencyRule.gauss(40, omega_scale=a)
-        om = rule.omegas
-        jac = rule.omega_scale * (1.0 + np.tan(rule.theta) ** 2)
-        val = (rule.theta_weights * jac / (a ** 2 + om ** 2)).sum() / (2 * np.pi)
+        om, w = FrequencyRule.gauss(40, omega_scale=a).half()
+        val = (w / (a ** 2 + om ** 2)).sum() / (2 * np.pi)
         assert_allclose(val, 0.5 / a, rtol=1e-12)
 
-    def test_half_matches_full_for_even_integrand(self):
-        for n in (17, 24):
-            rule = FrequencyRule.gauss(n, omega_scale=3.0)
-            om_full = rule.omegas
-            jac_full = rule.omega_scale * (1.0 + np.tan(rule.theta) ** 2)
-            f = lambda om: 1.0 / (4.0 + om ** 2)
-            full = (rule.theta_weights * jac_full * f(om_full)).sum()
-            om, gw, jac = rule.half()
-            folded = (gw * jac * f(om)).sum()
-            assert_allclose(folded, full, rtol=1e-13)
-            assert np.all(om >= 0)
-            assert np.all(np.diff(om) > 0)
+    def test_gauss_matches_folded_full_line_rule(self):
+        # the full-line Gauss rule in theta, omega = s tan(theta), folded by
+        # hand: every downstream number depends on these exact floats
+        for n in (24, 25):
+            for s in (1.0, 3.0):
+                x, gw = leggauss(n)
+                theta, theta_w = np.pi / 2 * x, np.pi / 2 * gw
+                keep = theta > 1e-14
+                tan_t = np.tan(theta[keep])
+                om = s * tan_t
+                w = (2.0 * theta_w[keep]) * (s * (1.0 + tan_t ** 2))
+                if n % 2:
+                    om = np.concatenate(([0.0], om))
+                    w = np.concatenate(([theta_w[n // 2] * s], w))
+                got_om, got_w = FrequencyRule.gauss(n, omega_scale=s).half()
+                assert np.array_equal(got_om, om)
+                assert np.array_equal(got_w, w)
 
     def test_half_node_count(self):
-        om_even, _, _ = FrequencyRule.gauss(24).half()
-        assert om_even.size == 12
-        om_odd, gw, _ = FrequencyRule.gauss(25).half()
-        assert om_odd.size == 13
-        assert om_odd[0] == 0.0
+        # an odd rule keeps its node at zero once; n_nodes counts the whole line
+        even, odd = FrequencyRule.gauss(24), FrequencyRule.gauss(25)
+        assert even.half()[0].size == 12 and even.n_nodes == 24
+        assert odd.half()[0].size == 13 and odd.n_nodes == 25
+        assert odd.half()[0][0] == 0.0
+        assert FrequencyRule.gauss(3).n_nodes == 3

@@ -217,8 +217,7 @@ class TestStabilitySweep:
         W = V + 0.3 * rng.standard_normal(V.shape) if with_w else None
         rule = FrequencyRule.gauss(60)
 
-        omegas, gw, jac = rule.half()
-        weights = gw * jac
+        omegas, weights = rule.half()
 
         def on_grid(sys):
             return np.array([transfer_eval(sys, 1j * om) for om in omegas])

@@ -354,7 +354,7 @@ class TestH2Norm:
         sys = LTISystem(E=np.array([[1.0]]), A=np.array([[-a]]),
                         B=np.array([[1.0]]), C=np.array([[1.0]]))
         with pytest.warns(RuntimeWarning):
-            h2_norm(sys, max_nodes=400)
+            h2_norm(sys)
 
     def test_divergence_detected(self):
         # algebraic system with constant transfer function: no finite H2 norm
@@ -362,13 +362,6 @@ class TestH2Norm:
                         B=np.array([[1.0]]), C=np.array([[1.0]]))
         with pytest.raises(H2DivergenceError):
             h2_norm(sys)
-
-    def test_explicit_rule_used_verbatim(self):
-        sys = LTISystem(E=np.array([[1.0]]), A=np.array([[-1.0]]),
-                        B=np.array([[1.0]]), C=np.array([[1.0]]))
-        rule = FrequencyRule.gauss(500)
-        assert_allclose(h2_norm(sys, freq_rule=rule), 1.0 / np.sqrt(2.0),
-                        rtol=1e-10)
 
 
 class TestRelativeError:
