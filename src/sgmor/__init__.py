@@ -12,8 +12,8 @@ from .pce import (Distribution, PCBasis, QuadratureRule, basis_count,
                   build_basis, eval_basis, moment_matrix,
                   monte_carlo_rule, tensor_rule)
 from .systems import (AffineParamSystem, DissipativityCheck,
-                      H2DivergenceError, LTISystem, PencilSpectrum, eval_at,
-                      h2_norm, is_asymptotically_stable,
+                      H2DivergenceError, LTISystem, NodeKronSum, PencilSpectrum,
+                      eval_at, h2_norm, is_asymptotically_stable,
                       is_dissipative, pencil_spectrum, shifted_solver,
                       transfer_eval, transfer_on_grid)
 from .galerkin import assemble, assemble_output, assemble_via_quadrature

@@ -6,18 +6,18 @@ ordered block-wise by basis polynomial: block i holds the coefficient of
 basis function i, so the leading n x n blocks of E and A are the mean
 system.  The output matrix stacks the chaos coefficients of every original
 output, so n_out is m times the family's output count.  Affine parameter
-dependence yields an exact block assembly from moment matrices; arbitrary
-(transformed) dependence is handled by quadrature over parameter nodes.
+dependence yields an exact block assembly from moment matrices (sparse);
+arbitrary (transformed) dependence is handled by quadrature over parameter
+nodes, and the result is kept as the node sum sum_k w_k (s_k s_k^T) (x) X_k
+(systems.NodeKronSum) instead of dense (m n) x (m n) matrices.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from .pce import PCBasis, QuadratureRule, eval_basis, moment_matrix
-from .systems import DEFINITENESS_RTOL, AffineParamSystem, LTISystem, _as_dense
-
-# Budget for the intermediates of one chunk of _weighted_kron_sum.
-_CHUNK_BYTES = 8 * 2 ** 20
+from .systems import (DEFINITENESS_RTOL, AffineParamSystem, LTISystem, NodeKronSum,
+                      _as_dense)
 
 
 def _coef_to_sparse(M):
@@ -70,25 +70,6 @@ def assemble_output(aps: AffineParamSystem, basis: PCBasis):
     return _assemble_square(aps.C0, aps.C_parts, Gs)
 
 
-def _weighted_kron_sum(S, wS, X):
-    """Dense sum_k (wS_k S_k^T) (x) X_k over the nodes, in block-row chunks.
-
-    Block rows I of the (m, n, m, n) view are one GEMM over the nodes:
-    S^T (wS[:, I] (x) X), whose [j, i, a, b] layout is transposed into
-    place.  A chunk's two intermediates stay within _CHUNK_BYTES.
-    """
-    k, m = S.shape
-    n = X.shape[1]
-    out = np.empty((m, n, m, n))
-    X_flat = X.reshape(k, 1, n * n)
-    rows = max(1, _CHUNK_BYTES // (8 * (k + m) * n * n))
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        Y = (wS[:, lo:hi, None] * X_flat).reshape(k, -1)
-        out[lo:hi] = (S.T @ Y).reshape(m, hi - lo, n, n).transpose(1, 2, 0, 3)
-    return out.reshape(m * n, m * n)
-
-
 def assemble_via_quadrature(matrix_fn, basis: PCBasis, rule: QuadratureRule,
                             C=None) -> LTISystem:
     """Projection of a general parameter dependence by numerical integration.
@@ -104,9 +85,10 @@ def assemble_via_quadrature(matrix_fn, basis: PCBasis, rule: QuadratureRule,
     matrix of an untransformed family projects exactly, so callers pass the
     exact block matrix).
 
-    The projected E and A are dense by nature: together they take
-    2 (m n)^2 8 bytes.  The sum over the nodes runs as chunked GEMMs whose
-    working memory beyond the output stays within a few megabytes.
+    The projected E and A are NodeKronSum operators on S, w and the stacked
+    node matrices: they hold k (m + 1 + 2 n^2) floats against 2 (m n)^2
+    for the dense pair, and shifted_solver solves their pencil by
+    preconditioned GMRES.  B is dense (m n x n_in).
     """
     if rule.nodes.shape[1] != basis.q:
         raise ValueError("quadrature nodes and basis dimension differ")
@@ -137,9 +119,9 @@ def assemble_via_quadrature(matrix_fn, basis: PCBasis, rule: QuadratureRule,
         Bs.append(B_k)
         Es.append(np.asarray(E_k, dtype=float))
     n = As[0].shape[0]
-    A_hat = _weighted_kron_sum(S, wS, np.stack(As))
-    E_hat = _weighted_kron_sum(S, wS, np.stack(Es))
     B_hat = np.einsum("ki,kac->iac", wS, np.stack(Bs)).reshape(m * n, -1)
     if C is None:
         C = np.zeros((0, m * n))
-    return LTISystem(E=E_hat, A=A_hat, B=B_hat, C=C)
+    w = rule.weights
+    return LTISystem(E=NodeKronSum(S, w, np.stack(Es)),
+                     A=NodeKronSum(S, w, np.stack(As)), B=B_hat, C=C)

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmread, mmwrite
 
-from .systems import LTISystem
+from .systems import LTISystem, _as_dense
 
 MANIFEST_NAME = "system.json"
 _MATRIX_KEYS = ("E", "A", "B", "C")
@@ -22,7 +22,7 @@ def _write_matrix(path: Path, M):
     if sp.issparse(M):
         mmwrite(str(path), M.tocoo())
     else:
-        mmwrite(str(path), np.atleast_2d(np.asarray(M, dtype=float)))
+        mmwrite(str(path), np.atleast_2d(_as_dense(M)))
 
 
 def _read_matrix(path: Path, want_sparse: bool):

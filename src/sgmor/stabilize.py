@@ -9,7 +9,8 @@ three transformations manufacture that structure:
                  the projected system, computed matrix-free in the frequency
                  domain;
   technique ii   transform every parameter realization by its own Lyapunov
-                 solution and re-project with positive-weight quadrature;
+                 solution and re-project with positive-weight quadrature,
+                 kept as a node-sum operator and solved by GMRES;
   technique iii  reuse a single Lyapunov solution at a reference parameter
                  blockwise, which is exact for the constant family and
                  degrades continuously as the parameter spread grows.
@@ -126,7 +127,10 @@ def technique_ii(aps: AffineParamSystem, basis: PCBasis,
     definite chaos Gram matrix sum_k w_k s(mu_k) s(mu_k)^T, which takes at
     least m = basis.m nodes; assemble_via_quadrature raises ValueError when
     either fails.  The output matrix is untouched by the transform, so the
-    exact projected C is attached.
+    exact projected C is attached.  The transformed E and A are
+    NodeKronSum operators over the quadrature nodes; arnoldi's shifted
+    solves on them run preconditioned GMRES, and reduce multiplies them
+    into the basis without forming them.
     """
     F = np.eye(aps.n)
 

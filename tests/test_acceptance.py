@@ -142,7 +142,7 @@ def test_criterion_4_stability_theory():
             return sysm.A, sysm.B, sysm.E
 
         gal = assemble_via_quadrature(matrix_fn, basis, quad)
-        Ed, Ad = np.asarray(gal.E), np.asarray(gal.A)
+        Ed, Ad = gal.E.toarray(), gal.A.toarray()
         lam_E = np.linalg.eigvalsh(0.5 * (Ed + Ed.T))
         lam_S = np.linalg.eigvalsh(Ad + Ad.T)
         quad_ok += (lam_E.min() >= -1e-10 * max(np.abs(lam_E).max(), 1.0)

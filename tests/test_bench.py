@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import sgmor.systems
 from sgmor import (
     RunConfig,
     build_bandpass,
@@ -13,6 +14,7 @@ from sgmor import (
     pencil_spectrum,
     regularize_affine,
     run_experiment,
+    stability_sweep,
     transfer_eval,
 )
 from sgmor.bench import (
@@ -29,6 +31,7 @@ from sgmor.bench import (
     MSD_MASSES,
     MSD_SPRINGS,
     MSD_VARIATION,
+    stabilized_basis,
 )
 
 
@@ -263,6 +266,37 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result["diagnostics"]["nodes"] == 342
         assert result["unstable_orders"] == []
+        assert result["failed_orders"] == []
+        assert len(result["rows"]) == 30
+
+    def test_technique_ii_degree_2_is_small_and_stable(self):
+        # the re-assembled system is held as S, weights and node matrices:
+        # about 0.44 MB each for E and A; the dense pair would take 47 MB
+        cfg = RunConfig(model="msd", degree=2, technique="ii", quad_nodes=200,
+                        with_errors=False)
+        _, arn, outcome = stabilized_basis(cfg, timings={})
+        fom = outcome.transformed
+        assert fom.E.nbytes < 2 ** 20
+        assert fom.A.nbytes < 2 ** 20
+        report = stability_sweep(fom, arn.V)
+        assert len(report.rows) == 30
+        assert report.failed_orders == []
+        assert all(row.stable for row in report.rows)
+
+    def test_bpf_technique_ii_solves_by_gmres(self, monkeypatch):
+        # the regularized descriptor filter: its re-assembled pencil goes
+        # through the GMRES backend of shifted_solver
+        pencils = []
+        node_sum_solver = sgmor.systems._node_sum_solver
+
+        def spy(K, singular):
+            pencils.append(K)
+            return node_sum_solver(K, singular)
+
+        monkeypatch.setattr(sgmor.systems, "_node_sum_solver", spy)
+        result = run_experiment(RunConfig(model="bpf", degree=1, technique="ii",
+                                          with_errors=False))
+        assert len(pencils) == 1
         assert result["failed_orders"] == []
         assert len(result["rows"]) == 30
 

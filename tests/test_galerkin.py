@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-import sgmor.galerkin
 from sgmor import (
     AffineParamSystem,
     Distribution,
@@ -140,8 +139,8 @@ class TestQuadratureAssembly:
         rule = tensor_rule(dists, basis.degree + 2)
         quad = assemble_via_quadrature(matrix_fn, basis, rule,
                                        C=assemble_output(aps, basis))
-        assert_allclose(quad.A, exact.A.toarray(), atol=1e-12)
-        assert_allclose(quad.E, exact.E.toarray(), atol=1e-12)
+        assert_allclose(quad.A.toarray(), exact.A.toarray(), atol=1e-12)
+        assert_allclose(quad.E.toarray(), exact.E.toarray(), atol=1e-12)
         assert_allclose(quad.B, np.asarray(exact.B), atol=1e-12)
         assert_allclose(quad.C.toarray(), exact.C.toarray(), atol=1e-12)
 
@@ -182,12 +181,9 @@ def kron_loop_reference(matrix_fn, basis, rule):
 
 
 class TestQuadratureContraction:
-    @pytest.mark.parametrize("chunk_bytes", [1, sgmor.galerkin._CHUNK_BYTES])
     @pytest.mark.parametrize("seed", range(4))
-    def test_matches_kron_loop(self, seed, chunk_bytes, monkeypatch):
-        # a non-affine dependence, so no exact assembly exists to compare to;
-        # chunk_bytes = 1 makes every block row its own chunk
-        monkeypatch.setattr(sgmor.galerkin, "_CHUNK_BYTES", chunk_bytes)
+    def test_matches_kron_loop(self, seed):
+        # a non-affine dependence, so no exact assembly exists to compare to
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(2, 6))
         q = int(rng.integers(1, 4))
@@ -204,11 +200,19 @@ class TestQuadratureContraction:
         rule = monte_carlo_rule(dists, 3 * basis.m, seed=seed)
         gal = assemble_via_quadrature(matrix_fn, basis, rule)
         A_ref, B_ref, E_ref = kron_loop_reference(matrix_fn, basis, rule)
-        # the GEMM sums the nodes in another order than the loop; entries
+        # the GEMMs sum the nodes in another order than the loop; entries
         # that cancel to near zero are held to rtol times the largest entry
-        for got, ref in ((gal.A, A_ref), (gal.E, E_ref), (gal.B, B_ref)):
-            assert got.shape == ref.shape
-            assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+        v = rng.standard_normal(gal.n)
+        block = rng.standard_normal((gal.n, 3))
+        for op, ref in ((gal.A, A_ref), (gal.E, E_ref)):
+            assert op.shape == ref.shape
+            for got, want in ((op.toarray(), ref), (op @ v, ref @ v),
+                              (op @ block, ref @ block)):
+                assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+            # S, the weights and the node matrices, nothing of size (m n)^2
+            assert op.nbytes == op.S.nbytes + op.w.nbytes + op.X.nbytes
+            assert op.nbytes == 8 * rule.k * (basis.m + 1 + n * n)
+        assert_allclose(gal.B, B_ref, rtol=1e-13, atol=1e-13 * np.abs(B_ref).max())
         assert (gal.n, gal.n_in) == (basis.m * n, 2)
 
 

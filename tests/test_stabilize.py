@@ -207,8 +207,8 @@ class TestTheoremProperties:
                 return sysm.A, sysm.B, sysm.E
 
             gal = assemble_via_quadrature(matrix_fn, basis, quad)
-            Ed = np.asarray(gal.E)
-            Ad = np.asarray(gal.A)
+            Ed = gal.E.toarray()
+            Ad = gal.A.toarray()
             lam_E = np.linalg.eigvalsh(0.5 * (Ed + Ed.T))
             lam_S = np.linalg.eigvalsh(Ad + Ad.T)
             assert lam_E.min() >= -1e-10 * max(np.abs(lam_E).max(), 1.0)
@@ -257,8 +257,8 @@ class TestTechniqueII:
         quad = monte_carlo_rule(aps.dists, 40, seed=5)
         out = technique_ii(aps, basis, quad)
         assert out.technique == "ii"
-        Ed = np.asarray(out.transformed.E)
-        Ad = np.asarray(out.transformed.A)
+        Ed = out.transformed.E.toarray()
+        Ad = out.transformed.A.toarray()
         lam_E = np.linalg.eigvalsh(0.5 * (Ed + Ed.T))
         lam_S = np.linalg.eigvalsh(Ad + Ad.T)
         assert lam_E.min() >= -1e-10 * max(np.abs(lam_E).max(), 1.0)

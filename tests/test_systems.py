@@ -17,6 +17,7 @@ from sgmor import (
     FrequencyRule,
     H2DivergenceError,
     LTISystem,
+    RunConfig,
     arnoldi,
     eval_at,
     freq_projection,
@@ -24,11 +25,16 @@ from sgmor import (
     h2_relative_error,
     is_asymptotically_stable,
     is_dissipative,
+    monte_carlo_rule,
     pencil_spectrum,
+    reduce,
     shifted_solver,
+    technique_ii,
     transfer_eval,
     transfer_on_grid,
 )
+from sgmor.bench import project
+from sgmor.systems import NodeKronSum
 
 from _gen import (random_dissipative, random_stable_generalized, random_stable_ode,
                   random_stable_sparse)
@@ -323,6 +329,63 @@ for _ in range(3):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.count("probe warning") == 1, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def msd1_technique_ii():
+    """MSD degree 1 re-assembled by technique ii, and its densified copy."""
+    cfg = RunConfig(model="msd", degree=1, technique="ii")
+    aps, basis, _ = project(cfg)
+    fom = technique_ii(aps, basis, monte_carlo_rule(aps.dists, 30, seed=7)).transformed
+    dense = LTISystem(E=fom.E.toarray(), A=fom.A.toarray(), B=fom.B, C=fom.C)
+    return cfg, fom, dense
+
+
+class TestNodeKronSumSolver:
+    @pytest.mark.parametrize("kind", ["s0", "imaginary"])
+    def test_matches_dense_solve(self, msd1_technique_ii, kind):
+        cfg, fom, dense = msd1_technique_ii
+        assert isinstance(fom.E, NodeKronSum) and isinstance(fom.A, NodeKronSum)
+        s = cfg.expansion_point if kind == "s0" else 0.9j
+        K = s * dense.E - dense.A
+        rng = np.random.default_rng(36)
+        rhs = rng.standard_normal(fom.n)
+        solve = shifted_solver(fom.E, fom.A, s)
+        for adjoint, K_op in ((False, K), (True, K.conj().T)):
+            x = solve(rhs, adjoint=adjoint)
+            assert np.isrealobj(x) == (kind == "s0")
+            assert_allclose(x, np.linalg.solve(K_op, rhs), rtol=1e-10,
+                            atol=1e-10 * np.abs(x).max())
+
+    @pytest.mark.parametrize("name, value",
+                             [("_GMRES_MAXITER", 1), ("_GMRES_RTOL", 1e-16)],
+                             ids=["iteration-cap", "unattainable-rtol"])
+    def test_unconverged_solve_names_the_shift(self, msd1_technique_ii, monkeypatch,
+                                               name, value):
+        # at 1e-16 the residual estimate gets there but the true residual,
+        # about 6e-15, does not: the solve must raise, not return that x
+        _, fom, _ = msd1_technique_ii
+        monkeypatch.setattr(sgmor.systems, name, value)
+        s = 0.9j
+        solve = shifted_solver(fom.E, fom.A, s)
+        with pytest.raises(ValueError, match=re.escape(str(s))):
+            solve(np.ones(fom.n))
+
+    def test_transfer_and_h2_error_match_dense(self, msd1_technique_ii, monkeypatch):
+        cfg, fom, dense = msd1_technique_ii
+        arn = arnoldi(dense.E, dense.A, dense.B, cfg.expansion_point, 8)
+        rom = reduce(dense, arn.V)
+        omegas = FrequencyRule.gauss(40).half()[0]
+        H_dense = transfer_on_grid(dense, omegas)
+        err_dense = h2_relative_error(dense, rom)
+
+        def densify(self):
+            raise AssertionError("a NodeKronSum pencil was densified")
+
+        monkeypatch.setattr(NodeKronSum, "toarray", densify)
+        assert_allclose(transfer_on_grid(fom, omegas), H_dense, rtol=1e-10,
+                        atol=1e-10 * np.abs(H_dense).max())
+        assert_allclose(h2_relative_error(fom, rom), err_dense, rtol=1e-10)
 
 
 class TestH2Norm:
