@@ -45,8 +45,9 @@ _COMPLEX_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
 _GMRES_RTOL = 1e-12
 _GMRES_MAXITER = 60
 
-# Bytes of stacked dense pencils (and their right-hand sides) that one
-# np.linalg.solve call in transfer_on_grid holds.
+# Bytes of stacked temporaries one step holds: the dense pencils (and their
+# right-hand sides) of one np.linalg.solve call in transfer_on_grid, and the
+# per-node blocks of one chunk of nodes in a NodeKronSum product.
 _CHUNK_BYTES = 8 * 2 ** 20
 
 
@@ -64,8 +65,9 @@ class NodeKronSum:
     positive weights and X (k x n x n) the node matrices; the operator is
     (m n) x (m n), ordered block-wise by basis polynomial like every
     projected system.  It is never formed: a product with an (m n) x r
-    block is one GEMM with S, k batched n x n products, the weights and one
-    GEMM with S^T.  Scalar multiples and differences of two operators on
+    block is, per chunk of nodes whose n x r blocks fit in _CHUNK_BYTES,
+    one GEMM with S, batched n x n products, the weights and one GEMM with
+    S^T added to the result.  Scalar multiples and differences of two operators on
     the same S and w stay operators, so s E - A is one too.
     """
 
@@ -88,9 +90,21 @@ class NodeKronSum:
         V = np.asarray(V)
         k, m = self.S.shape
         n = self.X.shape[1]
-        Z = (self.S @ V.reshape(m, -1)).reshape(k, n, -1)
-        Y = (self.X @ Z) * self.w[:, None, None]
-        return (self.S.T @ Y.reshape(k, -1)).reshape(V.shape)
+        Vm = V.reshape(m, -1)
+        # the two blocks Z and Y of each node, n x r each
+        node_bytes = 2 * np.result_type(Vm, self.X).itemsize * max(Vm.shape[1], 1)
+        step = max(1, _CHUNK_BYTES // node_bytes)
+        out = None
+        for lo in range(0, k, step):
+            S = self.S[lo:lo + step]
+            Z = (S @ Vm).reshape(len(S), n, -1)
+            Y = (self.X[lo:lo + step] @ Z) * self.w[lo:lo + step, None, None]
+            part = S.T @ Y.reshape(len(S), -1)
+            if out is None:
+                out = part
+            else:
+                out += part
+        return out.reshape(V.shape)
 
     def __mul__(self, c):
         if not np.isscalar(c):

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+import sgmor.systems
 from sgmor import (
     AffineParamSystem,
     Distribution,
@@ -181,9 +182,12 @@ def kron_loop_reference(matrix_fn, basis, rule):
 
 
 class TestQuadratureContraction:
+    @pytest.mark.parametrize("chunk_bytes", [1, sgmor.systems._CHUNK_BYTES])
     @pytest.mark.parametrize("seed", range(4))
-    def test_matches_kron_loop(self, seed):
-        # a non-affine dependence, so no exact assembly exists to compare to
+    def test_matches_kron_loop(self, seed, chunk_bytes, monkeypatch):
+        # a non-affine dependence, so no exact assembly exists to compare to;
+        # chunk_bytes = 1 makes every node its own chunk of the products
+        monkeypatch.setattr(sgmor.systems, "_CHUNK_BYTES", chunk_bytes)
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(2, 6))
         q = int(rng.integers(1, 4))
