@@ -12,7 +12,7 @@ import scipy.linalg as sla
 
 from .frequency import FrequencyRule
 # pencil_spectrum is unused here; perfbench/tracer.py wraps it by this attribute
-from .systems import _as_dense, _pencil, pencil_spectrum, shifted_solver  # noqa: F401
+from .systems import _as_dense, _pencil, pencil_spectrum  # noqa: F401
 
 __all__ = ["solve_lyap_direct", "freq_projection", "lyap_residual"]
 
@@ -63,8 +63,9 @@ def freq_projection(E, A, F, V, rule: FrequencyRule) -> np.ndarray:
 
     Each node contributes Re[(i w E - A)^-H F (i w E - A)^-1 E V]; one LU
     factorization per node serves both the forward and the conjugate
-    transposed solve.  The pencil (E, A) must be asymptotically stable with
-    nonsingular E for the integral to equal the Lyapunov solution.
+    transposed solve, and a sparse pencil is ordered once, at the first
+    node.  The pencil (E, A) must be asymptotically stable with nonsingular
+    E for the integral to equal the Lyapunov solution.
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     if V.shape[0] == 1 and E.shape[0] != 1:
@@ -72,14 +73,16 @@ def freq_projection(E, A, F, V, rule: FrequencyRule) -> np.ndarray:
     n = E.shape[0]
     if V.shape[0] != n:
         raise ValueError("V must have as many rows as E")
-    E, A = _pencil(E, A)
+    solver = _pencil(E, A)
     EV = E @ V
-    omegas, weights = rule.half()
+
+    def term(solve):
+        return solve(F @ solve(EV), adjoint=True).real
+
     W = np.zeros((n, V.shape[1]))
-    for j, om in enumerate(omegas):
-        solve = shifted_solver(E, A, 1j * om)
-        Y = solve(F @ solve(EV), adjoint=True)
-        W += weights[j] * Y.real
+    for om, weight in zip(*rule.half()):
+        # one call per node frees its factorization before the next is made
+        W += weight * term(solver(1j * om))
     return W / (2.0 * np.pi)
 
 

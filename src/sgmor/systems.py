@@ -11,6 +11,7 @@ operator that quadrature re-assembly returns; the shifted solve runs
 preconditioned GMRES on it.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -30,14 +31,26 @@ INFINITE_EIG_RTOL = 1e-12
 # and for the chaos Gram matrix of a quadrature rule (galerkin).
 DEFINITENESS_RTOL = 1e-10
 
-# SuperLU options for a complex shifted pencil i w E - A.  The chaos pencil
-# sum_k G_k (x) E_k is nearly structurally symmetric, for which SuperLU's guide
-# (X. S. Li, ACM TOMS 31, 2005) recommends a minimum-degree ordering on
-# K^T + K with diagonal pivoting: fill per LU drops 3-4x on MSD degree 2 and
-# 8-9x on MSD degree 3.  The threshold still leaves a zero or tiny diagonal,
-# such as a source-current row, for an off-diagonal pivot.
+# SuperLU options for a complex shifted pencil i w E - A.
+# - permc_spec: the chaos pencil sum_k G_k (x) E_k is nearly structurally
+#   symmetric, for which SuperLU's guide (X. S. Li, ACM TOMS 31, 2005)
+#   recommends a minimum-degree ordering on K^T + K.  Fill per LU drops 3-4x
+#   on MSD degree 2 and 8-9x on MSD degree 3 against the default COLAMD.
+#   _SparsePencil computes it at its first shift only.
+# - diag_pivot_thresh and SymmetricMode: pivot on the diagonal of the
+#   symmetrically permuted K, so that the ordering's fill estimate holds.  The
+#   threshold still leaves a zero or tiny diagonal, such as a source-current
+#   row, for an off-diagonal pivot.
+# - panel_size and relax: one-column panels and no relaxed supernodes.  The
+#   factors hold 5-30 entries per column, too few for wide panels and
+#   relaxed supernodes to pay in BLAS speed, while SuperLU's panel work
+#   arrays grow with n times the panel size.  Factoring a permuted shift
+#   took 1.5 instead of 2.8 ms on MSD degree 2, 3.3 instead of 7.6 ms on
+#   BPF degree 2 and 69 instead of 82 ms on MSD degree 3.
 _COMPLEX_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
-                     options=dict(SymmetricMode=True))
+                     panel_size=1, relax=1, options=dict(SymmetricMode=True))
+# The same for a pencil already permuted by its saved ordering.
+_REORDERED_SPLU = dict(_COMPLEX_SPLU, permc_spec="NATURAL")
 
 # Relative residual target and iteration cap of the GMRES that solves a
 # NodeKronSum pencil.  The mean-based preconditioner takes 17-22 iterations
@@ -58,6 +71,18 @@ def _as_dense(X) -> np.ndarray:
     return np.asarray(X, dtype=float)
 
 
+def _real_matmul(M, V):
+    """M @ V for a real M without casting M to V's complex type.
+
+    A complex V is viewed as a real array with its real and imaginary parts
+    side by side in the last axis, so the product is one real GEMM.
+    """
+    if np.iscomplexobj(M) or not np.iscomplexobj(V):
+        return M @ V
+    V = np.ascontiguousarray(V)
+    return (M @ V.view(V.real.dtype)).view(V.dtype)
+
+
 class NodeKronSum:
     """The operator sum_k w_k (s_k s_k^T) (x) X_k over the nodes of a rule.
 
@@ -67,8 +92,10 @@ class NodeKronSum:
     projected system.  It is never formed: a product with an (m n) x r
     block is, per chunk of nodes whose n x r blocks fit in _CHUNK_BYTES,
     one GEMM with S, batched n x n products, the weights and one GEMM with
-    S^T added to the result.  Scalar multiples and differences of two operators on
-    the same S and w stay operators, so s E - A is one too.
+    S^T added to the result.  A complex block meets the real S, and a real X,
+    in real GEMMs (_real_matmul).  Scalar multiples and differences of two
+    operators on the same S and w stay operators, so s E - A is one too;
+    they share the inverse chaos Gram matrix (gram_inv), formed once.
     """
 
     __array_ufunc__ = None  # numpy scalars defer to __rmul__
@@ -77,6 +104,7 @@ class NodeKronSum:
         self.S, self.w, self.X = S, w, X
         size = S.shape[1] * X.shape[1]
         self.shape = (size, size)
+        self._shared = {}
 
     @property
     def dtype(self):
@@ -85,6 +113,19 @@ class NodeKronSum:
     @property
     def nbytes(self) -> int:
         return self.S.nbytes + self.w.nbytes + self.X.nbytes
+
+    def gram_inv(self) -> np.ndarray:
+        """(S^T diag(w) S)^-1, formed on the first call among this operator and
+        those derived from it; raises LinAlgError when it is singular."""
+        if "gram_inv" not in self._shared:
+            S, w = self.S, self.w
+            self._shared["gram_inv"] = np.linalg.inv(S.T @ (w[:, None] * S))
+        return self._shared["gram_inv"]
+
+    def _on_nodes(self, X):
+        out = NodeKronSum(self.S, self.w, X)
+        out._shared = self._shared
+        return out
 
     def __matmul__(self, V):
         V = np.asarray(V)
@@ -97,9 +138,9 @@ class NodeKronSum:
         out = None
         for lo in range(0, k, step):
             S = self.S[lo:lo + step]
-            Z = (S @ Vm).reshape(len(S), n, -1)
-            Y = (self.X[lo:lo + step] @ Z) * self.w[lo:lo + step, None, None]
-            part = S.T @ Y.reshape(len(S), -1)
+            Z = _real_matmul(S, Vm).reshape(len(S), n, -1)
+            Y = _real_matmul(self.X[lo:lo + step], Z) * self.w[lo:lo + step, None, None]
+            part = _real_matmul(S.T, Y.reshape(len(S), -1))
             if out is None:
                 out = part
             else:
@@ -109,7 +150,7 @@ class NodeKronSum:
     def __mul__(self, c):
         if not np.isscalar(c):
             return NotImplemented
-        return NodeKronSum(self.S, self.w, c * self.X)
+        return self._on_nodes(c * self.X)
 
     __rmul__ = __mul__
 
@@ -118,7 +159,7 @@ class NodeKronSum:
             return NotImplemented
         if other.S is not self.S or other.w is not self.w:
             raise ValueError("operators on different nodes or weights")
-        return NodeKronSum(self.S, self.w, self.X - other.X)
+        return self._on_nodes(self.X - other.X)
 
     def toarray(self) -> np.ndarray:
         return self @ np.eye(self.shape[0], dtype=self.dtype)
@@ -337,26 +378,105 @@ def is_dissipative(E, A) -> DissipativityCheck:
         ok=True, lambda_min_E=float(lam_E[0]), lambda_max_symA=float(lam_S[-1]))
 
 
-def _pencil(E, A):
-    """Complex E and A, both CSC when either is sparse, else both dense.
+def _singular(s) -> str:
+    return f"(sE - A) is singular at s = {s}"
 
-    shifted_solver then forms and factors s E - A at a complex shift with no
-    per-shift conversion.  A NodeKronSum pencil is returned as it is: its
-    s E - A is complex for a complex s.
+
+def _pencil(E, A):
+    """solver(s) -> shifted_solver(E, A, s), for one pencil at many shifts.
+
+    The work that does not depend on s is done once.  A sparse pencil is a
+    _SparsePencil, which keeps the fill-reducing ordering of its first
+    complex shift for every later one.  A dense pencil is cast to complex
+    once.  A NodeKronSum pencil needs nothing: its operators share the
+    preconditioner's inverse Gram matrix already.
     """
     if isinstance(E, NodeKronSum):
-        return E, A
+        return functools.partial(shifted_solver, E, A)
     if sp.issparse(E) or sp.issparse(A):
-        return sp.csc_matrix(E, dtype=complex), sp.csc_matrix(A, dtype=complex)
-    return np.asarray(E, dtype=complex), np.asarray(A, dtype=complex)
+        return _SparsePencil(E, A)
+    return functools.partial(shifted_solver, np.asarray(E, dtype=complex),
+                             np.asarray(A, dtype=complex))
+
+
+class _SparsePencil:
+    """Factors s E - A of a sparse pencil at complex shifts with one ordering.
+
+    Called with a shift s, it returns solve(rhs, adjoint=False) as
+    shifted_solver does.  E and A are held as data on the union of their
+    patterns, the pattern of |E| + |A|: 0 E - A would drop E's entries
+    (7497 nonzeros instead of 8532 on MSD degree 2), and an ordering of that
+    pattern would not suit the other shifts.  The first shift is factored
+    with _COMPLEX_SPLU, and its column permutation P (the minimum-degree
+    ordering, postordered by SuperLU) is applied to E and A symmetrically
+    once.  Every later shift factors P (s E - A) P^T with the ordering
+    "NATURAL" and the same pivot options, and its solve permutes the
+    right-hand side and un-permutes the solution, forward and adjoint.
+    The ordering is the same at every nonzero shift, and skipping it cut a
+    factorization from 2.7 to 1.5 ms on MSD degree 2, from 5.2 to 3.6 ms on
+    BPF degree 2 and from 140 to 64 ms on MSD degree 3.
+    """
+
+    def __init__(self, E, A):
+        E, A = sp.coo_matrix(E), sp.coo_matrix(A)
+        at = (np.r_[E.row, A.row], np.r_[E.col, A.col])
+        # one canonical CSC structure for both, from the same coordinates
+        Eu = sp.csc_matrix((np.r_[E.data, np.zeros(A.nnz, A.dtype)], at), E.shape)
+        Au = sp.csc_matrix((np.r_[np.zeros(E.nnz, E.dtype), A.data], at), E.shape)
+        self.shape, self.indices, self.indptr = E.shape, Eu.indices, Eu.indptr
+        self.E, self.A = Eu.data, Au.data
+        self.perm = self.inv = None
+
+    def __call__(self, s):
+        singular = _singular(s)
+        K = sp.csc_matrix((s * self.E - self.A, self.indices, self.indptr), self.shape)
+        if self.perm is not None:
+            lu = _splu(K, singular, _REORDERED_SPLU)
+            return _superlu_solver(lu, singular, self.perm, self.inv)
+        lu = _splu(K, singular, _COMPLEX_SPLU)
+        self._reorder(lu.perm_c)
+        return _superlu_solver(lu, singular)
+
+    def _reorder(self, perm):
+        # P K P^T holds K[i, j] at (perm[i], perm[j]): gather by the inverse
+        inv = np.argsort(perm)
+        order = sp.csc_matrix((np.arange(self.E.size), self.indices, self.indptr),
+                              self.shape)[inv][:, inv]
+        order.sort_indices()
+        self.indices, self.indptr = order.indices, order.indptr
+        self.E, self.A = self.E[order.data], self.A[order.data]
+        self.perm, self.inv = perm, inv
+
+
+def _splu(K, singular, options):
+    try:
+        return spla.splu(K, **options)
+    except RuntimeError as exc:  # SuperLU: factor is exactly singular
+        raise ValueError(singular) from exc
+
+
+def _superlu_solver(lu, singular, perm=None, inv=None):
+    """solve(rhs, adjoint=False) from a SuperLU factorization.  With perm,
+    lu factors P K P^T for the K solved for, and inv is perm's inverse."""
+
+    def solve(rhs, adjoint=False):
+        if perm is not None:
+            rhs = rhs[inv]
+        x = lu.solve(rhs, trans="H" if adjoint else "N")
+        if not np.all(np.isfinite(x)):
+            raise ValueError(singular)
+        return x if perm is None else x[perm]
+
+    return solve
 
 
 def _gmres(K, precondition, b):
     """x = P^-1 u for K P^-1 u = b by unrestarted GMRES from u = 0.
 
-    precondition applies P^-1.  The Arnoldi basis is orthogonalized by
-    classical Gram-Schmidt run twice, and Givens rotations track the
-    residual norm.  Once that estimate meets _GMRES_RTOL ||b||, x is formed
+    precondition applies P^-1.  The Arnoldi basis Q is orthogonalized by
+    classical Gram-Schmidt run twice, its projections conj(Q) v formed as
+    conj(Q conj(v)), a GEMV that reads Q in place, and Givens rotations
+    track the residual norm.  Once that estimate meets _GMRES_RTOL ||b||, x is formed
     and its true residual ||b - K x|| checked; rounding can leave it just
     above the estimate (1.0002e-12 against 1e-12 in one MSD-2 solve), and
     then the iteration goes on.  Returns None when _GMRES_MAXITER
@@ -378,7 +498,7 @@ def _gmres(K, precondition, b):
         v = K @ precondition(Q[j])
         h = np.zeros(j + 1, dtype)
         for _ in range(2):
-            c = Q[:j + 1].conj() @ v
+            c = (Q[:j + 1] @ v.conj()).conj()
             v -= c @ Q[:j + 1]
             h += c
         h_next = np.linalg.norm(v)
@@ -416,16 +536,17 @@ def _node_sum_solver(K, singular):
     since psi_0 = 1.  On an (m, n)-shaped vector V it is G^-1 V Kbar^-T.
     K^H is the operator on the X_k^H, since w_k s_k s_k^T is real
     symmetric, preconditioned by G^-1 (x) Kbar^-H.  Both inverses are
-    formed once: a preconditioner step is then two small GEMMs.  A column
+    formed once: G^-1 once for all shifts of K's nodes (K.gram_inv), Kbar^-1
+    once per shift.  A preconditioner step is then two small GEMMs.  A column
     whose true residual does not reach _GMRES_RTOL within _GMRES_MAXITER
     iterations, or a singular G or Kbar, raises ValueError(singular).
     """
     S, w, X = K.S, K.w, K.X
     m, n = S.shape[1], X.shape[1]
-    gram = S.T @ (w[:, None] * S)
-    Kbar = np.einsum("k,kab->ab", w * S[:, 0] ** 2, X) / gram[0, 0]
+    c = w * S[:, 0] ** 2
+    Kbar = np.einsum("k,kab->ab", c, X) / c.sum()
     try:
-        gram_inv, Kbar_inv = np.linalg.inv(gram), np.linalg.inv(Kbar)
+        gram_inv, Kbar_inv = K.gram_inv(), np.linalg.inv(Kbar)
     except np.linalg.LinAlgError as exc:
         raise ValueError(singular) from exc
 
@@ -457,44 +578,36 @@ def shifted_solver(E, A, s):
     solve applies K^-1, or K^-H with adjoint set.  K is real for real E, A
     and s, and complex for a complex shift.  A dense K is factored by LAPACK
     getrf.  A sparse complex K, as at the imaginary-axis quadrature nodes, is
-    factored by SuperLU with _COMPLEX_SPLU: minimum-degree ordering on
-    K^T + K, SymmetricMode and diagonal pivot threshold 1e-3.  A sparse real
-    K (Arnoldi's expansion point) keeps SuperLU's default COLAMD ordering
-    and partial pivoting, since the rounding that dominates high-order
-    Krylov bases depends on the ordering.  A NodeKronSum K, the re-assembled
-    system of technique ii, is not factored: solve runs right-preconditioned
-    GMRES on it (_node_sum_solver).  A singular K or a non-finite solution
-    raises ValueError naming s, and so does GMRES that misses _GMRES_RTOL.
-    Callers that factor at many imaginary shifts pass E and A through
-    _pencil once.
+    the first shift of a _SparsePencil: SuperLU with _COMPLEX_SPLU, that is
+    minimum-degree ordering on K^T + K, SymmetricMode and diagonal pivot
+    threshold 1e-3.  A sparse real K (Arnoldi's expansion point) keeps
+    SuperLU's default COLAMD ordering and partial pivoting, since the
+    rounding that dominates high-order Krylov bases depends on the ordering.
+    A NodeKronSum K, the re-assembled system of technique ii, is not
+    factored: solve runs right-preconditioned GMRES on it
+    (_node_sum_solver).  A singular K or a non-finite solution raises
+    ValueError naming s, and so does GMRES that misses _GMRES_RTOL.  Callers
+    that factor at many imaginary shifts get their solvers from _pencil,
+    which does the work that does not depend on s once.
     """
-    singular = f"(sE - A) is singular at s = {s}"
-    K = s * E - A
-    if isinstance(K, NodeKronSum):
-        return _node_sum_solver(K, singular)
-    sparse = sp.issparse(K)
-    if sparse:
+    singular = _singular(s)
+    if isinstance(E, NodeKronSum):
+        return _node_sum_solver(s * E - A, singular)
+    if sp.issparse(E) or sp.issparse(A):
+        if np.result_type(s, E.dtype, A.dtype).kind == "c":
+            return _SparsePencil(E, A)(s)
         # Arnoldi's basis past order 15 on BPF-2 is dominated by rounding:
         # the complex-shift ordering there moves those orders' H2 errors by
         # up to 9.3%, so real shifts keep the default ordering.
-        options = _COMPLEX_SPLU if np.iscomplexobj(K) else {}
-        try:
-            lu = spla.splu(K.tocsc(), **options)
-        except RuntimeError as exc:  # SuperLU: factor is exactly singular
-            raise ValueError(singular) from exc
-    else:
-        K = np.asarray(K)
-        getrf = sla.get_lapack_funcs("getrf", (K,))
-        lu, piv, info = getrf(K, overwrite_a=True)
-        if info != 0:
-            raise ValueError(singular)
+        return _superlu_solver(_splu(sp.csc_matrix(s * E - A), singular, {}), singular)
+    K = np.asarray(s * E - A)
+    getrf = sla.get_lapack_funcs("getrf", (K,))
+    lu, piv, info = getrf(K, overwrite_a=True)
+    if info != 0:
+        raise ValueError(singular)
 
     def solve(rhs, adjoint=False):
-        if sparse:
-            x = lu.solve(rhs, trans="H" if adjoint else "N")
-        else:
-            x = sla.lu_solve((lu, piv), rhs, trans=2 if adjoint else 0,
-                             check_finite=False)
+        x = sla.lu_solve((lu, piv), rhs, trans=2 if adjoint else 0, check_finite=False)
         if not np.all(np.isfinite(x)):
             raise ValueError(singular)
         return x
@@ -511,7 +624,8 @@ def transfer_on_grid(sys: LTISystem, omegas) -> np.ndarray:
     """H(i omega) stacked over a frequency grid, shape (k, n_out, n_in).
 
     A sparse C stays sparse (complex CSR).  A sparse or NodeKronSum pencil
-    is solved once per grid point through shifted_solver, never densified.
+    is solved once per grid point by _pencil's solver, never densified; a
+    sparse one is ordered once, at the first point.
     A dense pencil forms i omega E - A for a chunk of points at once, as
     many as fit in _CHUNK_BYTES (one point when a single pencil is larger),
     and solves the chunk with one stacked np.linalg.solve.  A singular pencil or a
@@ -522,11 +636,11 @@ def transfer_on_grid(sys: LTISystem, omegas) -> np.ndarray:
     n, n_in = B.shape
     out = np.empty((s.size, sys.n_out, n_in), dtype=complex)
     if sp.issparse(sys.E) or sp.issparse(sys.A) or isinstance(sys.E, NodeKronSum):
-        E, A = _pencil(sys.E, sys.A)
+        solver = _pencil(sys.E, sys.A)
         C = sp.csr_matrix(sys.C, dtype=complex) if sp.issparse(sys.C) else sys.C
         B = B.astype(complex)
         for j, sj in enumerate(s):
-            out[j] = C @ shifted_solver(E, A, sj)(B)
+            out[j] = C @ solver(sj)(B)
         return out
     E, A, C = np.asarray(sys.E), np.asarray(sys.A), _as_dense(sys.C)
     step = max(1, _CHUNK_BYTES // (16 * n * (n + n_in)))
@@ -544,7 +658,7 @@ def transfer_on_grid(sys: LTISystem, omegas) -> np.ndarray:
             raise
         finite = np.isfinite(X).all(axis=(1, 2))
         if not finite.all():
-            raise ValueError(f"(sE - A) is singular at s = {sc[np.argmin(finite)]}")
+            raise ValueError(_singular(sc[np.argmin(finite)]))
         out[lo:lo + step] = C @ X
     return out
 

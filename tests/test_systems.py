@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import sgmor.systems
@@ -371,6 +372,28 @@ class TestNodeKronSumSolver:
         with pytest.raises(ValueError, match=re.escape(str(s))):
             solve(np.ones(fom.n))
 
+    @pytest.mark.parametrize("chunk_bytes", [1, sgmor.systems._CHUNK_BYTES])
+    def test_complex_block_product(self, msd1_technique_ii, monkeypatch, chunk_bytes):
+        # a complex block meets the real S (and a real X) in real GEMMs
+        monkeypatch.setattr(sgmor.systems, "_CHUNK_BYTES", chunk_bytes)
+        _, fom, dense = msd1_technique_ii
+        rng = np.random.default_rng(38)
+        V = rng.standard_normal((fom.n, 3)) + 1j * rng.standard_normal((fom.n, 3))
+        s = 0.9j
+        for op, ref in ((fom.E, dense.E), (s * fom.E - fom.A, s * dense.E - dense.A)):
+            for block in (V, V[:, 0], np.asfortranarray(V)):
+                assert_allclose(op @ block, ref @ block, rtol=1e-13,
+                                atol=1e-13 * np.abs(ref).max() * np.abs(block).max())
+        assert_allclose(fom.E.toarray() @ V, dense.E @ V, rtol=1e-13)
+
+    def test_shifts_share_the_gram_inverse(self, msd1_technique_ii):
+        _, fom, _ = msd1_technique_ii
+        S, w = fom.E.S, fom.E.w
+        K1, K2 = 0.5j * fom.E - fom.A, 2.0j * fom.E - fom.A
+        assert K1.gram_inv() is K2.gram_inv() is fom.E.gram_inv()
+        assert_allclose(K1.gram_inv() @ (S.T @ (w[:, None] * S)), np.eye(S.shape[1]),
+                        atol=1e-10)
+
     def test_transfer_and_h2_error_match_dense(self, msd1_technique_ii, monkeypatch):
         cfg, fom, dense = msd1_technique_ii
         arn = arnoldi(dense.E, dense.A, dense.B, cfg.expansion_point, 8)
@@ -386,6 +409,95 @@ class TestNodeKronSumSolver:
         assert_allclose(transfer_on_grid(fom, omegas), H_dense, rtol=1e-10,
                         atol=1e-10 * np.abs(H_dense).max())
         assert_allclose(h2_relative_error(fom, rom), err_dense, rtol=1e-10)
+
+
+def per_shift_solver(E, A, s):
+    """The reference for _SparsePencil: every shift ordered and factored anew
+    by _COMPLEX_SPLU, with no saved ordering and no union pattern."""
+    K = s * sp.csc_matrix(E, dtype=complex) - sp.csc_matrix(A, dtype=complex)
+    lu = spla.splu(K.tocsc(), **sgmor.systems._COMPLEX_SPLU)
+    return lambda rhs, adjoint=False: lu.solve(rhs, trans="H" if adjoint else "N")
+
+
+def per_shift_transfer(sys, omegas):
+    return np.array([sys.C @ per_shift_solver(sys.E, sys.A, 1j * om)(sys.B)
+                     for om in omegas])
+
+
+def per_shift_projection(E, A, F, V, rule):
+    W = np.zeros(V.shape)
+    for om, wt in zip(*rule.half()):
+        solve = per_shift_solver(E, A, 1j * om)
+        W += wt * solve(F @ solve(E @ V), adjoint=True).real
+    return W / (2.0 * np.pi)
+
+
+@pytest.fixture(scope="module")
+def sparse_pencils():
+    """MSD degree 2, and BPF degree 1 with its zero source-current diagonal."""
+    out = {}
+    for model, degree in (("msd", 2), ("bpf", 1)):
+        cfg = RunConfig(model=model, degree=degree)
+        fom = project(cfg)[2]
+        V = np.linalg.qr(np.random.default_rng(37).standard_normal((fom.n, 4)))[0]
+        out[model] = (cfg, fom, V)
+    return out
+
+
+class TestSparsePencil:
+    @pytest.mark.parametrize("model", ["msd", "bpf"])
+    @pytest.mark.parametrize("n_nodes", [16, 15], ids=["even", "odd"])
+    def test_matches_per_shift_factorization(self, sparse_pencils, model, n_nodes):
+        # an odd rule starts at omega = 0, where 0 E - A drops E's entries
+        cfg, fom, V = sparse_pencils[model]
+        rule = FrequencyRule.gauss(n_nodes, omega_scale=cfg.stab_scale)
+        omegas = rule.half()[0]
+        assert (omegas[0] == 0.0) == bool(n_nodes % 2)
+        H, H_ref = transfer_on_grid(fom, omegas), per_shift_transfer(fom, omegas)
+        assert_allclose(H, H_ref, rtol=1e-12, atol=1e-12 * np.abs(H_ref).max())
+        F = sp.identity(fom.n, format="csr")
+        W = freq_projection(fom.E, fom.A, F, V, rule)
+        W_ref = per_shift_projection(fom.E, fom.A, F, V, rule)
+        assert_allclose(W, W_ref, rtol=1e-12, atol=1e-12 * np.abs(W_ref).max())
+
+    @pytest.mark.parametrize("n_nodes", [16, 15], ids=["even", "odd"])
+    def test_one_ordering_per_call(self, sparse_pencils, monkeypatch, n_nodes):
+        cfg, fom, V = sparse_pencils["msd"]
+        splu = spla.splu
+        calls = []
+
+        def counting_splu(K, **options):
+            calls.append((options["permc_spec"], K.nnz))
+            return splu(K, **options)
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        rule = FrequencyRule.gauss(n_nodes, omega_scale=cfg.stab_scale)
+        union = (abs(fom.E) + abs(fom.A)).nnz
+        assert union == 8532
+        for call in (lambda: transfer_on_grid(fom, rule.half()[0]),
+                     lambda: freq_projection(fom.E, fom.A, sp.identity(fom.n), V, rule)):
+            calls.clear()
+            call()
+            # one factorization per shift, and the one minimum-degree
+            # ordering is of the pattern of |E| + |A|, even at s = 0
+            assert len(calls) == len(rule.half()[0])
+            assert calls[0] == ("MMD_AT_PLUS_A", union)
+            assert {spec for spec, _ in calls[1:]} == {"NATURAL"}
+
+    def test_singular_later_shift_names_it(self):
+        # E = I with the block [[0, w], [-w, 0]] in A: s E - A is exactly
+        # singular at s = i w, the third node, and regular at the others
+        rule = FrequencyRule.gauss(8)
+        omegas = rule.half()[0]
+        w = omegas[2]
+        A = sp.block_diag([sp.diags([-1.0, -2.0]), sp.csr_matrix([[0.0, w], [-w, 0.0]])],
+                          format="csr")
+        E = sp.identity(4, format="csr")
+        lti = LTISystem(E=E, A=A, B=np.ones((4, 1)), C=np.ones((1, 4)))
+        for call in (lambda: transfer_on_grid(lti, omegas),
+                     lambda: freq_projection(E, A, np.eye(4), np.eye(4)[:, :2], rule)):
+            with pytest.raises(ValueError, match=re.escape(str(1j * w))):
+                call()
 
 
 class TestH2Norm:
