@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .pce import PCBasis, QuadratureRule, eval_basis, moment_matrix
 from .systems import (DEFINITENESS_RTOL, AffineParamSystem, LTISystem, NodeKronSum,
-                      _as_dense)
+                      _as_columns, _as_dense)
 
 
 def _coef_to_sparse(M):
@@ -112,11 +112,8 @@ def assemble_via_quadrature(matrix_fn, basis: PCBasis, rule: QuadratureRule,
         except Exception as exc:
             raise RuntimeError(f"matrix evaluation failed at node {k}: {exc}") from exc
         A_k = np.asarray(A_k, dtype=float)
-        B_k = np.atleast_2d(np.asarray(B_k, dtype=float))
-        if B_k.shape[0] == 1 and A_k.shape[0] != 1:
-            B_k = B_k.T
         As.append(A_k)
-        Bs.append(B_k)
+        Bs.append(_as_columns(B_k, A_k.shape[0], "B"))
         Es.append(np.asarray(E_k, dtype=float))
     n = As[0].shape[0]
     B_hat = np.einsum("ki,kac->iac", wS, np.stack(Bs)).reshape(m * n, -1)

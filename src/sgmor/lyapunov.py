@@ -12,7 +12,7 @@ import scipy.linalg as sla
 
 from .frequency import FrequencyRule
 # pencil_spectrum is unused here; perfbench/tracer.py wraps it by this attribute
-from .systems import _as_dense, _pencil, pencil_spectrum  # noqa: F401
+from .systems import _as_columns, _as_dense, _pencil, pencil_spectrum  # noqa: F401
 
 __all__ = ["solve_lyap_direct", "freq_projection", "lyap_residual"]
 
@@ -67,12 +67,8 @@ def freq_projection(E, A, F, V, rule: FrequencyRule) -> np.ndarray:
     node.  The pencil (E, A) must be asymptotically stable with nonsingular
     E for the integral to equal the Lyapunov solution.
     """
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    if V.shape[0] == 1 and E.shape[0] != 1:
-        V = V.T
     n = E.shape[0]
-    if V.shape[0] != n:
-        raise ValueError("V must have as many rows as E")
+    V = _as_columns(V, n, "V")
     solver = _pencil(E, A)
     EV = E @ V
 

@@ -30,7 +30,7 @@ from .frequency import FrequencyRule
 from .galerkin import assemble, assemble_output, assemble_via_quadrature
 from .lyapunov import freq_projection, solve_lyap_direct
 from .pce import PCBasis, QuadratureRule
-from .systems import AffineParamSystem, LTISystem, _affine_sum, _as_dense, eval_at
+from .systems import AffineParamSystem, LTISystem, _affine_sum, _as_columns, _as_dense, eval_at
 
 DEFAULT_BETA = 1e-5
 
@@ -174,11 +174,7 @@ def technique_iii(fom: LTISystem, aps: AffineParamSystem, V, F=None) -> Stabiliz
     sys_star = eval_at(aps, mu_star)
     M_star = solve_lyap_direct(sys_star.E, sys_star.A, F)
 
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    if V.shape[0] == 1 and fom.n != 1:
-        V = V.T
-    if V.shape[0] != fom.n:
-        raise ValueError("V must have as many rows as the projected system")
+    V = _as_columns(V, fom.n, "V")
     EV = np.asarray(fom.E @ V)
     r = V.shape[1]
     blocks = EV.reshape(m, n, r)

@@ -11,7 +11,6 @@ operator that quadrature re-assembly returns; the shifted solve runs
 preconditioned GMRES on it.
 """
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -71,6 +70,16 @@ def _as_dense(X) -> np.ndarray:
     return np.asarray(X, dtype=float)
 
 
+def _as_columns(X, n: int, name: str) -> np.ndarray:
+    """X as a float block of n rows; a vector or a 1 x n row becomes a column."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[0] == 1 and n != 1:
+        X = X.T
+    if X.shape[0] != n:
+        raise ValueError(f"{name} must have {n} rows")
+    return X
+
+
 def _real_matmul(M, V):
     """M @ V for a real M without casting M to V's complex type.
 
@@ -94,8 +103,7 @@ class NodeKronSum:
     one GEMM with S, batched n x n products, the weights and one GEMM with
     S^T added to the result.  A complex block meets the real S, and a real X,
     in real GEMMs (_real_matmul).  Scalar multiples and differences of two
-    operators on the same S and w stay operators, so s E - A is one too;
-    they share the inverse chaos Gram matrix (gram_inv), formed once.
+    operators on the same S and w stay operators, so s E - A is one too.
     """
 
     __array_ufunc__ = None  # numpy scalars defer to __rmul__
@@ -104,7 +112,6 @@ class NodeKronSum:
         self.S, self.w, self.X = S, w, X
         size = S.shape[1] * X.shape[1]
         self.shape = (size, size)
-        self._shared = {}
 
     @property
     def dtype(self):
@@ -113,19 +120,6 @@ class NodeKronSum:
     @property
     def nbytes(self) -> int:
         return self.S.nbytes + self.w.nbytes + self.X.nbytes
-
-    def gram_inv(self) -> np.ndarray:
-        """(S^T diag(w) S)^-1, formed on the first call among this operator and
-        those derived from it; raises LinAlgError when it is singular."""
-        if "gram_inv" not in self._shared:
-            S, w = self.S, self.w
-            self._shared["gram_inv"] = np.linalg.inv(S.T @ (w[:, None] * S))
-        return self._shared["gram_inv"]
-
-    def _on_nodes(self, X):
-        out = NodeKronSum(self.S, self.w, X)
-        out._shared = self._shared
-        return out
 
     def __matmul__(self, V):
         V = np.asarray(V)
@@ -150,7 +144,7 @@ class NodeKronSum:
     def __mul__(self, c):
         if not np.isscalar(c):
             return NotImplemented
-        return self._on_nodes(c * self.X)
+        return NodeKronSum(self.S, self.w, c * self.X)
 
     __rmul__ = __mul__
 
@@ -159,7 +153,7 @@ class NodeKronSum:
             return NotImplemented
         if other.S is not self.S or other.w is not self.w:
             raise ValueError("operators on different nodes or weights")
-        return self._on_nodes(self.X - other.X)
+        return NodeKronSum(self.S, self.w, self.X - other.X)
 
     def toarray(self) -> np.ndarray:
         return self @ np.eye(self.shape[0], dtype=self.dtype)
@@ -186,18 +180,14 @@ class LTISystem:
         n = self.E.shape[0]
         if self.E.shape != (n, n) or self.A.shape != (n, n):
             raise ValueError("E and A must be square and equally sized")
-        B = self.B
-        if not sp.issparse(B):
-            B = np.atleast_2d(np.asarray(B, dtype=float))
-            if B.shape[0] == 1 and n != 1:
-                B = B.T
-            self.B = B
+        if not sp.issparse(self.B):
+            self.B = _as_columns(self.B, n, "B")
+        elif self.B.shape[0] != n:
+            raise ValueError("B must have n rows")
         C = self.C
         if not sp.issparse(C):
             C = np.atleast_2d(np.asarray(C, dtype=float))
             self.C = C
-        if self.B.shape[0] != n:
-            raise ValueError("B must have n rows")
         if self.C.shape[1] != n:
             raise ValueError("C must have n columns")
 
@@ -383,53 +373,61 @@ def _singular(s) -> str:
 
 
 def _pencil(E, A):
-    """solver(s) -> shifted_solver(E, A, s), for one pencil at many shifts.
+    """solver(s) -> solve(rhs, adjoint=False) for K = s E - A, at one shift or
+    many: the one place that chooses how a pencil is solved.
 
-    The work that does not depend on s is done once.  A sparse pencil is a
-    _SparsePencil, which keeps the fill-reducing ordering of its first
-    complex shift for every later one.  A dense pencil is cast to complex
-    once.  A NodeKronSum pencil needs nothing: its operators share the
-    preconditioner's inverse Gram matrix already.
+    solve applies K^-1, or K^-H with adjoint set; K is real for real E, A and
+    s.  Work that does not depend on s is done once per pencil.  A dense K is
+    factored by LAPACK getrf (_dense_solver), a sparse one by SuperLU
+    (_SparsePencil), and a NodeKronSum one, technique ii's re-assembled
+    system, is solved by GMRES preconditioned with the inverse chaos Gram
+    matrix formed here (_node_sum_solver).  A singular K or Gram matrix, a
+    non-finite solution or GMRES that misses _GMRES_RTOL raises ValueError
+    naming s.
     """
     if isinstance(E, NodeKronSum):
-        return functools.partial(shifted_solver, E, A)
+        try:
+            gram_inv = np.linalg.inv(E.S.T @ (E.w[:, None] * E.S))
+        except np.linalg.LinAlgError:
+            gram_inv = None
+        return lambda s: _node_sum_solver(s * E - A, gram_inv, _singular(s))
     if sp.issparse(E) or sp.issparse(A):
         return _SparsePencil(E, A)
-    return functools.partial(shifted_solver, np.asarray(E, dtype=complex),
-                             np.asarray(A, dtype=complex))
+    return lambda s: _dense_solver(E, A, s)
 
 
 class _SparsePencil:
-    """Factors s E - A of a sparse pencil at complex shifts with one ordering.
+    """SuperLU factorizations of a sparse pencil s E - A at any shifts.
 
-    Called with a shift s, it returns solve(rhs, adjoint=False) as
-    shifted_solver does.  E and A are held as data on the union of their
-    patterns, the pattern of |E| + |A|: 0 E - A would drop E's entries
-    (7497 nonzeros instead of 8532 on MSD degree 2), and an ordering of that
-    pattern would not suit the other shifts.  The first shift is factored
-    with _COMPLEX_SPLU, and its column permutation P (the minimum-degree
-    ordering, postordered by SuperLU) is applied to E and A symmetrically
-    once.  Every later shift factors P (s E - A) P^T with the ordering
-    "NATURAL" and the same pivot options, and its solve permutes the
-    right-hand side and un-permutes the solution, forward and adjoint.
-    The ordering is the same at every nonzero shift, and skipping it cut a
-    factorization from 2.7 to 1.5 ms on MSD degree 2, from 5.2 to 3.6 ms on
-    BPF degree 2 and from 140 to 64 ms on MSD degree 3.
+    Called with s, it returns solve as _pencil describes.  A real shift
+    (Arnoldi's) factors s E - A of the caller's E and A with SuperLU's
+    defaults, COLAMD and partial pivoting: BPF degree 2's Krylov basis past
+    order 15 is rounding, and the complex-shift ordering moves those orders'
+    H2 errors by up to 9.3%.  At the first complex shift, E and A are laid
+    on the union of their patterns, that of |E| + |A|: 0 E - A would drop
+    E's entries (7497 nonzeros instead of 8532 on MSD degree 2), and an
+    ordering of that pattern would not suit the other shifts.  That shift is
+    factored with _COMPLEX_SPLU, and its column permutation P (the
+    minimum-degree ordering, postordered by SuperLU) is applied to E and A
+    symmetrically once.  Every later complex shift factors P (s E - A) P^T
+    with the ordering "NATURAL" and the same pivot options; its solve
+    permutes the right-hand side and un-permutes the solution.  Skipping the
+    ordering cut a factorization from 2.7 to 1.5 ms on MSD degree 2, from
+    5.2 to 3.6 ms on BPF degree 2 and from 140 to 64 ms on MSD degree 3.
     """
 
     def __init__(self, E, A):
-        E, A = sp.coo_matrix(E), sp.coo_matrix(A)
-        at = (np.r_[E.row, A.row], np.r_[E.col, A.col])
-        # one canonical CSC structure for both, from the same coordinates
-        Eu = sp.csc_matrix((np.r_[E.data, np.zeros(A.nnz, A.dtype)], at), E.shape)
-        Au = sp.csc_matrix((np.r_[np.zeros(E.nnz, E.dtype), A.data], at), E.shape)
-        self.shape, self.indices, self.indptr = E.shape, Eu.indices, Eu.indptr
-        self.E, self.A = Eu.data, Au.data
-        self.perm = self.inv = None
+        self.E, self.A = E, A
+        self.Eu = self.perm = self.inv = None
 
     def __call__(self, s):
         singular = _singular(s)
-        K = sp.csc_matrix((s * self.E - self.A, self.indices, self.indptr), self.shape)
+        if np.result_type(s, self.E.dtype, self.A.dtype).kind != "c":
+            lu = _splu(sp.csc_matrix(s * self.E - self.A), singular, {})
+            return _superlu_solver(lu, singular)
+        if self.Eu is None:
+            self._union()
+        K = sp.csc_matrix((s * self.Eu - self.Au, self.indices, self.indptr), self.shape)
         if self.perm is not None:
             lu = _splu(K, singular, _REORDERED_SPLU)
             return _superlu_solver(lu, singular, self.perm, self.inv)
@@ -437,14 +435,23 @@ class _SparsePencil:
         self._reorder(lu.perm_c)
         return _superlu_solver(lu, singular)
 
+    def _union(self):
+        E, A = sp.coo_matrix(self.E), sp.coo_matrix(self.A)
+        at = (np.r_[E.row, A.row], np.r_[E.col, A.col])
+        # one canonical CSC structure for both, from the same coordinates
+        Eu = sp.csc_matrix((np.r_[E.data, np.zeros(A.nnz, A.dtype)], at), E.shape)
+        Au = sp.csc_matrix((np.r_[np.zeros(E.nnz, E.dtype), A.data], at), E.shape)
+        self.shape, self.indices, self.indptr = E.shape, Eu.indices, Eu.indptr
+        self.Eu, self.Au = Eu.data, Au.data
+
     def _reorder(self, perm):
         # P K P^T holds K[i, j] at (perm[i], perm[j]): gather by the inverse
         inv = np.argsort(perm)
-        order = sp.csc_matrix((np.arange(self.E.size), self.indices, self.indptr),
+        order = sp.csc_matrix((np.arange(self.Eu.size), self.indices, self.indptr),
                               self.shape)[inv][:, inv]
         order.sort_indices()
         self.indices, self.indptr = order.indices, order.indptr
-        self.E, self.A = self.E[order.data], self.A[order.data]
+        self.Eu, self.Au = self.Eu[order.data], self.Au[order.data]
         self.perm, self.inv = perm, inv
 
 
@@ -526,7 +533,7 @@ def _gmres(K, precondition, b):
     return None
 
 
-def _node_sum_solver(K, singular):
+def _node_sum_solver(K, gram_inv, singular):
     """solve(rhs, adjoint=False) for a NodeKronSum K by preconditioned GMRES.
 
     The preconditioner is G^-1 (x) Kbar^-1, the mean-based one of Powell &
@@ -535,18 +542,20 @@ def _node_sum_solver(K, singular):
     K's leading n x n block over G_00, the weighted node average of the X_k
     since psi_0 = 1.  On an (m, n)-shaped vector V it is G^-1 V Kbar^-T.
     K^H is the operator on the X_k^H, since w_k s_k s_k^T is real
-    symmetric, preconditioned by G^-1 (x) Kbar^-H.  Both inverses are
-    formed once: G^-1 once for all shifts of K's nodes (K.gram_inv), Kbar^-1
-    once per shift.  A preconditioner step is then two small GEMMs.  A column
-    whose true residual does not reach _GMRES_RTOL within _GMRES_MAXITER
+    symmetric, preconditioned by G^-1 (x) Kbar^-H.  G^-1 is gram_inv, formed
+    once per pencil (None if G is singular), and Kbar^-1 is formed once per
+    shift; a preconditioner step is then two small GEMMs.  A column whose
+    true residual does not reach _GMRES_RTOL within _GMRES_MAXITER
     iterations, or a singular G or Kbar, raises ValueError(singular).
     """
+    if gram_inv is None:
+        raise ValueError(singular)
     S, w, X = K.S, K.w, K.X
     m, n = S.shape[1], X.shape[1]
     c = w * S[:, 0] ** 2
     Kbar = np.einsum("k,kab->ab", c, X) / c.sum()
     try:
-        gram_inv, Kbar_inv = K.gram_inv(), np.linalg.inv(Kbar)
+        Kbar_inv = np.linalg.inv(Kbar)
     except np.linalg.LinAlgError as exc:
         raise ValueError(singular) from exc
 
@@ -572,34 +581,9 @@ def _node_sum_solver(K, singular):
     return solve
 
 
-def shifted_solver(E, A, s):
-    """Factor K = s E - A once; returns solve(rhs, adjoint=False).
-
-    solve applies K^-1, or K^-H with adjoint set.  K is real for real E, A
-    and s, and complex for a complex shift.  A dense K is factored by LAPACK
-    getrf.  A sparse complex K, as at the imaginary-axis quadrature nodes, is
-    the first shift of a _SparsePencil: SuperLU with _COMPLEX_SPLU, that is
-    minimum-degree ordering on K^T + K, SymmetricMode and diagonal pivot
-    threshold 1e-3.  A sparse real K (Arnoldi's expansion point) keeps
-    SuperLU's default COLAMD ordering and partial pivoting, since the
-    rounding that dominates high-order Krylov bases depends on the ordering.
-    A NodeKronSum K, the re-assembled system of technique ii, is not
-    factored: solve runs right-preconditioned GMRES on it
-    (_node_sum_solver).  A singular K or a non-finite solution raises
-    ValueError naming s, and so does GMRES that misses _GMRES_RTOL.  Callers
-    that factor at many imaginary shifts get their solvers from _pencil,
-    which does the work that does not depend on s once.
-    """
+def _dense_solver(E, A, s):
+    """solve(rhs, adjoint=False) for a dense s E - A, factored by LAPACK getrf."""
     singular = _singular(s)
-    if isinstance(E, NodeKronSum):
-        return _node_sum_solver(s * E - A, singular)
-    if sp.issparse(E) or sp.issparse(A):
-        if np.result_type(s, E.dtype, A.dtype).kind == "c":
-            return _SparsePencil(E, A)(s)
-        # Arnoldi's basis past order 15 on BPF-2 is dominated by rounding:
-        # the complex-shift ordering there moves those orders' H2 errors by
-        # up to 9.3%, so real shifts keep the default ordering.
-        return _superlu_solver(_splu(sp.csc_matrix(s * E - A), singular, {}), singular)
     K = np.asarray(s * E - A)
     getrf = sla.get_lapack_funcs("getrf", (K,))
     lu, piv, info = getrf(K, overwrite_a=True)
@@ -613,6 +597,12 @@ def shifted_solver(E, A, s):
         return x
 
     return solve
+
+
+def shifted_solver(E, A, s):
+    """solve(rhs, adjoint=False) for K = s E - A at one shift, from _pencil:
+    it applies K^-1, or K^-H with adjoint set; a singular K raises ValueError."""
+    return _pencil(E, A)(s)
 
 
 def transfer_eval(sys: LTISystem, s: complex) -> np.ndarray:

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import sgmor.systems
@@ -289,9 +290,9 @@ class TestRunExperiment:
         pencils = []
         node_sum_solver = sgmor.systems._node_sum_solver
 
-        def spy(K, singular):
+        def spy(K, gram_inv, singular):
             pencils.append(K)
-            return node_sum_solver(K, singular)
+            return node_sum_solver(K, gram_inv, singular)
 
         monkeypatch.setattr(sgmor.systems, "_node_sum_solver", spy)
         result = run_experiment(RunConfig(model="bpf", degree=1, technique="ii",
@@ -299,6 +300,25 @@ class TestRunExperiment:
         assert len(pencils) == 1
         assert result["failed_orders"] == []
         assert len(result["rows"]) == 30
+
+    def test_technique_i_factorization_count(self, monkeypatch):
+        # Arnoldi's real shift with SuperLU's defaults, then one minimum-degree
+        # ordering for technique i's 32 nodes and one for the error grid's 100
+        # points, every later shift reusing it
+        splu = spla.splu
+        orderings = []
+
+        def counting_splu(K, **options):
+            orderings.append(options.get("permc_spec"))
+            return splu(K, **options)
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        run_experiment(RunConfig(model="msd", degree=1, technique="i", nodes=64,
+                                 error_nodes=200))
+        assert len(orderings) == 133
+        assert orderings.count(None) == 1
+        assert orderings.count("MMD_AT_PLUS_A") == 2
+        assert orderings.count("NATURAL") == 130
 
     def test_degree_zero_collapses_to_mean_system(self):
         cfg = RunConfig(model="msd", degree=0, technique="none", r_max=3,

@@ -386,13 +386,41 @@ class TestNodeKronSumSolver:
                                 atol=1e-13 * np.abs(ref).max() * np.abs(block).max())
         assert_allclose(fom.E.toarray() @ V, dense.E @ V, rtol=1e-13)
 
-    def test_shifts_share_the_gram_inverse(self, msd1_technique_ii):
+    def test_one_gram_inverse_per_pencil(self, msd1_technique_ii, monkeypatch):
+        # G = S^T diag(w) S is inverted once for the whole grid, and Kbar, the
+        # n x n mean block, once per point
         _, fom, _ = msd1_technique_ii
-        S, w = fom.E.S, fom.E.w
-        K1, K2 = 0.5j * fom.E - fom.A, 2.0j * fom.E - fom.A
-        assert K1.gram_inv() is K2.gram_inv() is fom.E.gram_inv()
-        assert_allclose(K1.gram_inv() @ (S.T @ (w[:, None] * S)), np.eye(S.shape[1]),
-                        atol=1e-10)
+        (k, m), n = fom.E.S.shape, fom.E.X.shape[1]
+        assert m != n
+        inv = np.linalg.inv
+        shapes = []
+
+        def counting_inv(M):
+            shapes.append(M.shape)
+            return inv(M)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        omegas = FrequencyRule.gauss(16).half()[0]
+        transfer_on_grid(fom, omegas)
+        assert shapes.count((m, m)) == 1
+        assert shapes.count((n, n)) == omegas.size
+
+    def test_singular_gram_matrix_names_the_shift(self, msd1_technique_ii):
+        # One node, at the parameter means, where every degree-1 chaos
+        # polynomial vanishes: G = S^T diag(w) S is singular.
+        # assemble_via_quadrature refuses such a rule, so the operators are
+        # built directly.
+        cfg, fom, _ = msd1_technique_ii
+        m = fom.E.S.shape[1]
+        S, w = np.eye(1, m), np.ones(1)
+        lti = LTISystem(E=NodeKronSum(S, w, fom.E.X[:1]), A=NodeKronSum(S, w, fom.A.X[:1]),
+                        B=fom.B, C=fom.C)
+        s = cfg.expansion_point
+        with pytest.raises(ValueError, match=re.escape(str(s))):
+            shifted_solver(lti.E, lti.A, s)
+        omegas = FrequencyRule.gauss(8).half()[0]
+        with pytest.raises(ValueError, match=re.escape(str(1j * omegas[0]))):
+            transfer_on_grid(lti, omegas)
 
     def test_transfer_and_h2_error_match_dense(self, msd1_technique_ii, monkeypatch):
         cfg, fom, dense = msd1_technique_ii
@@ -483,6 +511,32 @@ class TestSparsePencil:
             assert len(calls) == len(rule.half()[0])
             assert calls[0] == ("MMD_AT_PLUS_A", union)
             assert {spec for spec, _ in calls[1:]} == {"NATURAL"}
+
+    def test_real_shift_keeps_superlu_defaults(self, sparse_pencils, monkeypatch):
+        # Arnoldi's one real shift is factored with SuperLU's default ordering
+        cfg, fom, _ = sparse_pencils["msd"]
+        splu = spla.splu
+        calls = []
+
+        def counting_splu(K, **options):
+            calls.append(options)
+            return splu(K, **options)
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        arnoldi(fom.E, fom.A, fom.B, cfg.expansion_point, 3)
+        assert len(calls) == 1 and "permc_spec" not in calls[0]
+        # a real shift after a complex one, whose ordering has permuted the
+        # pencil's data, still solves the caller's s E - A
+        rng = np.random.default_rng(39)
+        E, A = random_stable_sparse(rng, 15)
+        rhs = rng.standard_normal((15, 2))
+        solver = sgmor.systems._pencil(E, A)
+        for s in (0.4 + 1.3j, 0.7):
+            K = s * E.toarray() - A.toarray()
+            solve = solver(s)
+            assert_allclose(solve(rhs), np.linalg.solve(K, rhs), rtol=1e-12)
+            assert_allclose(solve(rhs, adjoint=True), np.linalg.solve(K.conj().T, rhs),
+                            rtol=1e-12)
 
     def test_singular_later_shift_names_it(self):
         # E = I with the block [[0, w], [-w, 0]] in A: s E - A is exactly
