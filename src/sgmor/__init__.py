@@ -8,20 +8,16 @@ every projection provably preserves.
 """
 
 from .frequency import DEFAULT_NODES, FrequencyRule
-from .pce import (Distribution, PCBasis, QuadratureRule, basis_count,
-                  build_basis, eval_basis, moment_matrix,
-                  monte_carlo_rule, tensor_rule)
+from .pce import (Distribution, PCBasis, QuadratureRule, build_basis,
+                  eval_basis, moment_matrix, monte_carlo_rule)
 from .systems import (AffineParamSystem, DissipativityCheck,
                       H2DivergenceError, LTISystem, NodeKronSum, PencilSpectrum,
-                      eval_at, h2_norm, is_asymptotically_stable,
-                      is_dissipative, pencil_spectrum, shifted_solver,
-                      transfer_eval, transfer_on_grid)
+                      eval_at, h2_norm, is_dissipative, pencil_spectrum,
+                      shifted_solver, transfer_on_grid)
 from .galerkin import assemble, assemble_output, assemble_via_quadrature
-from .lyapunov import freq_projection, lyap_residual, solve_lyap_direct
-from .stabilize import (CommutationReport, StabilizationOutcome,
-                        regularization_commutes, regularize,
-                        regularize_affine, technique_i, technique_ii,
-                        technique_iii, theta_family)
+from .lyapunov import freq_projection, solve_lyap_direct
+from .stabilize import (StabilizationOutcome, regularize, regularize_affine,
+                        technique_i, technique_ii, technique_iii, theta_family)
 from .mor import (ArnoldiResult, StabilityReport, SweepRow, arnoldi,
                   h2_relative_error, reduce, stability_sweep)
 from .bench import RunConfig, build_bandpass, build_msd, run_experiment

@@ -16,8 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .pce import PCBasis, QuadratureRule, eval_basis, moment_matrix
-from .systems import (DEFINITENESS_RTOL, AffineParamSystem, LTISystem, NodeKronSum,
-                      _as_columns, _as_dense)
+from .systems import (AffineParamSystem, LTISystem, NodeKronSum, _as_columns, _as_dense,
+                      _definite_gram)
 
 
 def _coef_to_sparse(M):
@@ -26,11 +26,13 @@ def _coef_to_sparse(M):
     return sp.csr_matrix(np.atleast_2d(np.asarray(M, dtype=float)))
 
 
-def _assemble_square(const, parts, Gs):
-    total = sp.kron(Gs[0], _coef_to_sparse(const), format="csr")
+def _assemble_square(const, parts, G):
+    """sum_l G(l) (x) M_l over the terms that are set; G(l) gives G_l and is
+    asked only for those terms."""
+    total = sp.kron(G(0), _coef_to_sparse(const), format="csr")
     for l, part in enumerate(parts):
         if part is not None:
-            total = total + sp.kron(Gs[l + 1], _coef_to_sparse(part), format="csr")
+            total = total + sp.kron(G(l + 1), _coef_to_sparse(part), format="csr")
     return total.tocsr()
 
 
@@ -46,9 +48,9 @@ def assemble(aps: AffineParamSystem, basis: PCBasis) -> LTISystem:
         raise ValueError("system parameters and basis distributions must match")
     m = basis.m
     Gs = [moment_matrix(basis, l) for l in range(basis.q + 1)]
-    E_hat = _assemble_square(aps.E0, aps.E_parts, Gs)
-    A_hat = _assemble_square(aps.A0, aps.A_parts, Gs)
-    C_hat = _assemble_square(aps.C0, aps.C_parts, Gs)
+    E_hat = _assemble_square(aps.E0, aps.E_parts, Gs.__getitem__)
+    A_hat = _assemble_square(aps.A0, aps.A_parts, Gs.__getitem__)
+    C_hat = _assemble_square(aps.C0, aps.C_parts, Gs.__getitem__)
 
     B0 = np.atleast_2d(_as_dense(aps.B0))
     e1 = np.zeros(m)
@@ -63,11 +65,11 @@ def assemble(aps: AffineParamSystem, basis: PCBasis) -> LTISystem:
 
 
 def assemble_output(aps: AffineParamSystem, basis: PCBasis):
-    """Only the projected output matrix (exact, from moment matrices)."""
+    """Only the projected output matrix (exact, from the moment matrices of
+    the parameters that C depends on)."""
     if tuple(aps.dists) != tuple(basis.dists):
         raise ValueError("system parameters and basis distributions must match")
-    Gs = [moment_matrix(basis, l) for l in range(basis.q + 1)]
-    return _assemble_square(aps.C0, aps.C_parts, Gs)
+    return _assemble_square(aps.C0, aps.C_parts, lambda l: moment_matrix(basis, l))
 
 
 def assemble_via_quadrature(matrix_fn, basis: PCBasis, rule: QuadratureRule,
@@ -100,7 +102,7 @@ def assemble_via_quadrature(matrix_fn, basis: PCBasis, rule: QuadratureRule,
     S = eval_basis(basis, rule.nodes)
     wS = rule.weights[:, None] * S
     eig = np.linalg.eigvalsh(wS.T @ S)
-    if eig[0] <= DEFINITENESS_RTOL * eig[-1]:
+    if not _definite_gram(eig):
         raise ValueError(
             f"quadrature with k = {rule.k} nodes gives a singular chaos Gram "
             f"matrix for m = {m} basis polynomials (lambda_min / lambda_max = "

@@ -14,7 +14,7 @@ from .frequency import FrequencyRule
 # pencil_spectrum is unused here; perfbench/tracer.py wraps it by this attribute
 from .systems import _as_columns, _as_dense, _pencil, pencil_spectrum  # noqa: F401
 
-__all__ = ["solve_lyap_direct", "freq_projection", "lyap_residual"]
+__all__ = ["solve_lyap_direct", "freq_projection"]
 
 
 def solve_lyap_direct(E, A, F) -> np.ndarray:
@@ -81,12 +81,3 @@ def freq_projection(E, A, F, V, rule: FrequencyRule) -> np.ndarray:
         W += weight * term(solver(1j * om))
     return W / (2.0 * np.pi)
 
-
-def lyap_residual(E, A, F, M) -> float:
-    """Relative residual ||A^T M E + E^T M A + F||_F / ||F||_F."""
-    Ed, Ad, Fd, Md = _as_dense(E), _as_dense(A), _as_dense(F), _as_dense(M)
-    R = Ad.T @ Md @ Ed + Ed.T @ Md @ Ad + Fd
-    nF = np.linalg.norm(Fd)
-    if nF == 0.0:
-        raise ValueError("F must be nonzero")
-    return float(np.linalg.norm(R) / nF)

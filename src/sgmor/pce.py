@@ -7,17 +7,12 @@ Moment matrices G_l = E[mu_l Phi_i Phi_j] are assembled from univariate Gauss
 integrals, which keeps the cost independent of the parameter count.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
-
-# Hard cap on full tensor-grid sizes; beyond this the caller is expected to
-# switch to Monte Carlo nodes.
-TENSOR_NODE_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -86,15 +81,6 @@ class Distribution:
             return rng.uniform(a, b, size)
         mean, std = self.params
         return rng.normal(mean, std, size)
-
-
-def basis_count(q: int, degree: int) -> int:
-    """Number of multivariate basis polynomials: (degree + q)! / (degree! q!)."""
-    if q < 1:
-        raise ValueError("need at least one parameter")
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    return math.comb(degree + q, q)
 
 
 def _graded_indices(q: int, degree: int):
@@ -279,38 +265,6 @@ class QuadratureRule:
     @property
     def k(self) -> int:
         return self.weights.size
-
-
-def tensor_rule(dists, nodes_per_dim: int) -> QuadratureRule:
-    """Full tensor Gauss rule in physical coordinates.
-
-    Refuses to build grids larger than TENSOR_NODE_CAP nodes; use
-    monte_carlo_rule for high-dimensional parameter spaces instead.
-    """
-    dists = tuple(dists)
-    q = len(dists)
-    if q < 1:
-        raise ValueError("need at least one distribution")
-    if nodes_per_dim < 1:
-        raise ValueError("nodes_per_dim must be positive")
-    total = nodes_per_dim ** q
-    if total > TENSOR_NODE_CAP:
-        raise ValueError(
-            f"tensor grid with {total} nodes exceeds the cap of {TENSOR_NODE_CAP}; "
-            "use monte_carlo_rule for this many parameters"
-        )
-    axes, wts = [], []
-    for dist in dists:
-        xi, w = dist.gauss_points(nodes_per_dim)
-        axes.append(dist.unstandardize(xi))
-        wts.append(w)
-    grids = np.meshgrid(*axes, indexing="ij")
-    nodes = np.column_stack([g.reshape(-1) for g in grids])
-    wgrids = np.meshgrid(*wts, indexing="ij")
-    weights = np.ones(total)
-    for wg in wgrids:
-        weights = weights * wg.reshape(-1)
-    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def monte_carlo_rule(dists, k: int, seed=None) -> QuadratureRule:

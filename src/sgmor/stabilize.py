@@ -27,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .frequency import FrequencyRule
-from .galerkin import assemble, assemble_output, assemble_via_quadrature
+from .galerkin import assemble_output, assemble_via_quadrature
 from .lyapunov import freq_projection, solve_lyap_direct
 from .pce import PCBasis, QuadratureRule
 from .systems import AffineParamSystem, LTISystem, _affine_sum, _as_columns, _as_dense, eval_at
@@ -51,31 +51,24 @@ def regularize(E, A, beta: float = DEFAULT_BETA):
 
 
 def regularize_affine(aps: AffineParamSystem, beta: float = DEFAULT_BETA) -> AffineParamSystem:
-    """Apply the regularization to every affine term of the family.
+    """Apply regularize to every affine term of the family.
 
     The shift acts term by term, so regularizing the family and evaluating
     at mu equals evaluating first and regularizing then; the same holds for
-    the spectral projection.
+    the spectral projection.  A term that touches only one of E and A is
+    regularized with a zero in place of the other; one that touches neither
+    stays None.
     """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    alpha = beta ** 2
-
-    def combo(X, Y, c):
-        # X + c * Y with None meaning zero
-        if Y is None:
-            return None if X is None else X.copy()
-        if X is None:
-            return c * Y
-        return X + c * Y
-
-    E0 = aps.E0 - alpha * aps.A0
-    A0 = aps.A0 + beta * aps.E0
-    E_parts = tuple(combo(e, a, -alpha) for e, a in zip(aps.E_parts, aps.A_parts))
-    A_parts = tuple(combo(a, e, beta) for a, e in zip(aps.A_parts, aps.E_parts))
+    E0, A0 = regularize(aps.E0, aps.A0, beta)
+    E_parts, A_parts = [], []
+    for e, a in zip(aps.E_parts, aps.A_parts):
+        if e is not None or a is not None:
+            e, a = regularize(0 * a if e is None else e, 0 * e if a is None else a, beta)
+        E_parts.append(e)
+        A_parts.append(a)
     return AffineParamSystem(
         E0=E0, A0=A0, B0=aps.B0, C0=aps.C0,
-        E_parts=E_parts, A_parts=A_parts,
+        E_parts=tuple(E_parts), A_parts=tuple(A_parts),
         B_parts=aps.B_parts, C_parts=aps.C_parts,
         dists=aps.dists,
     )
@@ -229,36 +222,3 @@ def theta_family(aps: AffineParamSystem, theta: float) -> AffineParamSystem:
         C_parts=scale_parts(aps.C_parts),
         dists=aps.dists,
     )
-
-
-@dataclass(frozen=True)
-class CommutationReport:
-    equal: bool
-    max_diff_E: float
-    max_diff_A: float
-    tol: float
-
-
-def regularization_commutes(aps: AffineParamSystem, basis: PCBasis,
-                            beta: float = DEFAULT_BETA, beta_other: float | None = None,
-                            tol: float = 1e-12) -> CommutationReport:
-    """Compare regularize-then-project against project-then-regularize.
-
-    Both paths must agree to machine precision when the same beta is used;
-    beta_other deliberately desynchronizes the second path for negative
-    controls.  The comparison is entrywise on the projected E and A, scaled
-    by the larger matrix norm.
-    """
-    gal_first = assemble(regularize_affine(aps, beta), basis)
-    gal_plain = assemble(aps, basis)
-    b2 = beta if beta_other is None else beta_other
-    E2, A2 = regularize(gal_plain.E, gal_plain.A, b2)
-
-    def rel_max_diff(X, Y):
-        return abs(X - Y).max() / max(abs(X).max(), abs(Y).max(), 1e-300)
-
-    dE = rel_max_diff(gal_first.E, E2)
-    dA = rel_max_diff(gal_first.A, A2)
-    return CommutationReport(equal=bool(dE <= tol and dA <= tol),
-                             max_diff_E=float(dE), max_diff_A=float(dA), tol=tol)
-

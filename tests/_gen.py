@@ -1,7 +1,10 @@
-"""Random problem generators shared across test modules."""
+"""Random problem generators and reference oracles shared across test modules."""
 
 import numpy as np
 import scipy.sparse as sp
+
+from sgmor import QuadratureRule, shifted_solver
+from sgmor.systems import _as_dense
 
 
 def random_stable_ode(rng, n, margin=0.05):
@@ -58,3 +61,40 @@ def random_stable_sparse(rng, n, density=0.1, margin=0.5):
     s = np.maximum(s, 0.2)
     E = u @ np.diag(s) @ vt
     return sp.csr_matrix(E), sp.csr_matrix(A)
+
+
+def transfer_eval(sys, s):
+    """H(s) = C (s E - A)^-1 B at one point, real or complex."""
+    return _as_dense(sys.C) @ shifted_solver(sys.E, sys.A, s)(_as_dense(sys.B))
+
+
+def lyap_residual(E, A, F, M) -> float:
+    """Relative residual ||A^T M E + E^T M A + F||_F / ||F||_F."""
+    Ed, Ad, Fd, Md = _as_dense(E), _as_dense(A), _as_dense(F), _as_dense(M)
+    R = Ad.T @ Md @ Ed + Ed.T @ Md @ Ad + Fd
+    nF = np.linalg.norm(Fd)
+    if nF == 0.0:
+        raise ValueError("F must be nonzero")
+    return float(np.linalg.norm(R) / nF)
+
+
+def tensor_rule(dists, nodes_per_dim: int) -> QuadratureRule:
+    """Full tensor Gauss rule in physical coordinates."""
+    dists = tuple(dists)
+    q = len(dists)
+    if q < 1:
+        raise ValueError("need at least one distribution")
+    if nodes_per_dim < 1:
+        raise ValueError("nodes_per_dim must be positive")
+    axes, wts = [], []
+    for dist in dists:
+        xi, w = dist.gauss_points(nodes_per_dim)
+        axes.append(dist.unstandardize(xi))
+        wts.append(w)
+    grids = np.meshgrid(*axes, indexing="ij")
+    nodes = np.column_stack([g.reshape(-1) for g in grids])
+    wgrids = np.meshgrid(*wts, indexing="ij")
+    weights = np.ones(nodes_per_dim ** q)
+    for wg in wgrids:
+        weights = weights * wg.reshape(-1)
+    return QuadratureRule(nodes=nodes, weights=weights)

@@ -1,5 +1,7 @@
 """End-to-end acceptance checks; each test prints one pass/fail line."""
 
+import math
+
 import numpy as np
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
@@ -13,7 +15,6 @@ from sgmor import (
     assemble,
     assemble_output,
     assemble_via_quadrature,
-    basis_count,
     build_bandpass,
     build_msd,
     build_basis,
@@ -21,11 +22,9 @@ from sgmor import (
     freq_projection,
     h2_norm,
     h2_relative_error,
-    is_asymptotically_stable,
     is_dissipative,
-    lyap_residual,
     monte_carlo_rule,
-    regularization_commutes,
+    pencil_spectrum,
     regularize,
     regularize_affine,
     run_experiment,
@@ -35,6 +34,7 @@ from sgmor import (
 )
 
 from _gen import (
+    lyap_residual,
     random_dissipative,
     random_orthonormal,
     random_spd,
@@ -53,15 +53,18 @@ def _report(num, name, ok, detail=""):
 
 
 def test_criterion_1_combinatorics():
-    counts_ok = basis_count(17, 3) == 1140 and basis_count(23, 2) == 300
-
     msd = build_msd()
-    gal_msd = assemble(msd, build_basis(msd.dists, 3))
+    msd_basis = build_basis(msd.dists, 3)
+    gal_msd = assemble(msd, msd_basis)
     msd_ok = gal_msd.n == 11400 and gal_msd.n_out == 1140
 
     bpf = regularize_affine(build_bandpass(), 1e-5)
-    gal_bpf = assemble(bpf, build_basis(bpf.dists, 2))
+    bpf_basis = build_basis(bpf.dists, 2)
+    gal_bpf = assemble(bpf, bpf_basis)
     bpf_ok = gal_bpf.n == 6900 and gal_bpf.n_out == 300
+
+    counts_ok = (msd_basis.m == math.comb(17 + 3, 3) == 1140
+                 and bpf_basis.m == math.comb(23 + 2, 2) == 300)
 
     _report(1, "combinatorics", counts_ok and msd_ok and bpf_ok,
             f"msd {gal_msd.n}x{gal_msd.n_out}, bpf {gal_bpf.n}x{gal_bpf.n_out}")
@@ -106,7 +109,7 @@ def test_criterion_4_stability_theory():
     rng = np.random.default_rng(4044)
 
     stable_count = sum(
-        is_asymptotically_stable(*random_dissipative(rng, int(rng.integers(2, 31))))
+        pencil_spectrum(*random_dissipative(rng, int(rng.integers(2, 31)))).abscissa < 0
         for _ in range(200))
 
     projected = 0
@@ -219,12 +222,12 @@ def test_criterion_7_regularization_contract():
     aps = build_bandpass()
     basis = build_basis(aps.dists, 1)
 
-    rep = regularization_commutes(aps, basis, beta=beta)
-    commute_ok = rep.equal and rep.max_diff_E < 1e-12 and rep.max_diff_A < 1e-12
-
     gal_first = assemble(regularize_affine(aps, beta), basis)
     gal_plain = assemble(aps, basis)
     E2, A2 = regularize(gal_plain.E, gal_plain.A, beta)
+    max_diff = max(abs(X - Y).max() / max(abs(X).max(), abs(Y).max())
+                   for X, Y in ((gal_first.E, E2), (gal_first.A, A2)))
+    commute_ok = max_diff < 1e-12
 
     def pattern(X):
         coo = X.tocoo()
@@ -242,7 +245,7 @@ def test_criterion_7_regularization_contract():
 
     _report(7, "regularization-contract",
             commute_ok and pattern_ok and h2_ok,
-            f"max diff {max(rep.max_diff_E, rep.max_diff_A):.1e}, "
+            f"max diff {max_diff:.1e}, "
             f"H2 deviation {deviation:.2e}")
 
 

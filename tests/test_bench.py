@@ -16,7 +16,6 @@ from sgmor import (
     regularize_affine,
     run_experiment,
     stability_sweep,
-    transfer_eval,
 )
 from sgmor.bench import (
     BPF_LOAD_G,
@@ -34,6 +33,8 @@ from sgmor.bench import (
     MSD_VARIATION,
     stabilized_basis,
 )
+
+from _gen import transfer_eval
 
 
 def assert_uniform_about(aps, nominals, variation):

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+import sgmor.galerkin
 import sgmor.systems
 from sgmor import (
     AffineParamSystem,
@@ -15,8 +16,9 @@ from sgmor import (
     eval_at,
     eval_basis,
     monte_carlo_rule,
-    tensor_rule,
 )
+
+from _gen import tensor_rule
 
 
 def one_param_family(rng, n=3):
@@ -54,6 +56,24 @@ class TestAssembly:
         assert Chat.shape == (2, 2 * n)
         assert_allclose(Chat[0, :n], np.ones(n))
         assert_allclose(Chat[0, n:], c * C1.ravel(), rtol=1e-13)
+        assert (assemble_output(aps, basis) != gal.C).nnz == 0
+
+    def test_output_forms_only_its_moment_matrices(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        aps, *_ = one_param_family(rng)
+        basis = build_basis(aps.dists, 1)
+        moment_matrix = sgmor.galerkin.moment_matrix
+        asked = []
+
+        def spy(basis, l):
+            asked.append(l)
+            return moment_matrix(basis, l)
+
+        monkeypatch.setattr(sgmor.galerkin, "moment_matrix", spy)
+        assemble_output(aps, basis)
+        aps.C_parts = (None,)
+        assemble_output(aps, basis)
+        assert asked == [0, 1, 0]
 
     def test_leading_block_is_mean_system(self):
         rng = np.random.default_rng(8)

@@ -6,11 +6,11 @@ from numpy.testing import assert_allclose
 from sgmor import (
     FrequencyRule,
     freq_projection,
-    lyap_residual,
     solve_lyap_direct,
 )
 
 from _gen import (
+    lyap_residual,
     random_dissipative,
     random_orthonormal,
     random_spd,

@@ -10,11 +10,10 @@ from sgmor import (
     pencil_spectrum,
     reduce,
     stability_sweep,
-    transfer_eval,
 )
 
 from _gen import (random_orthonormal, random_stable_generalized, random_stable_ode,
-                  random_stable_sparse)
+                  random_stable_sparse, transfer_eval)
 
 
 def make_fom(rng, n, n_out=1):

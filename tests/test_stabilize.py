@@ -13,11 +13,9 @@ from sgmor import (
     build_basis,
     build_bandpass,
     eval_at,
-    is_asymptotically_stable,
     is_dissipative,
     monte_carlo_rule,
     pencil_spectrum,
-    regularization_commutes,
     regularize,
     regularize_affine,
     solve_lyap_direct,
@@ -30,6 +28,16 @@ from sgmor import (
 from sgmor.stabilize import DEFAULT_BETA, _technique_iii_margin
 
 from _gen import random_dissipative, random_orthonormal, random_spd
+
+
+def regularization_gaps(aps, basis, beta, beta_other=None):
+    """Relative entrywise gaps in E and A between regularize-then-project
+    and project-then-regularize (with beta_other, when given)."""
+    first = assemble(regularize_affine(aps, beta), basis)
+    plain = assemble(aps, basis)
+    E2, A2 = regularize(plain.E, plain.A, beta if beta_other is None else beta_other)
+    return tuple(abs(X - Y).max() / max(abs(X).max(), abs(Y).max())
+                 for X, Y in ((first.E, E2), (first.A, A2)))
 
 
 def dissipative_family(rng, n, q, part_scale=0.2):
@@ -114,17 +122,13 @@ class TestRegularization:
         rng = np.random.default_rng(33)
         aps = stable_family(rng, 3, 2)
         basis = build_basis(aps.dists, 2)
-        rep = regularization_commutes(aps, basis, beta=1e-5)
-        assert rep.equal
-        assert rep.max_diff_E <= rep.tol
-        assert rep.max_diff_A <= rep.tol
+        assert max(regularization_gaps(aps, basis, 1e-5)) <= 1e-12
 
     def test_mismatched_beta_flagged(self):
         rng = np.random.default_rng(34)
         aps = stable_family(rng, 3, 2)
         basis = build_basis(aps.dists, 1)
-        rep = regularization_commutes(aps, basis, beta=1e-5, beta_other=2e-5)
-        assert not rep.equal
+        assert max(regularization_gaps(aps, basis, 1e-5, beta_other=2e-5)) > 1e-12
 
 
 class TestThetaFamily:
@@ -168,7 +172,7 @@ class TestTheoremProperties:
         rng = np.random.default_rng(41)
         for _ in range(20):
             E, A = random_dissipative(rng, int(rng.integers(2, 15)))
-            assert is_asymptotically_stable(E, A)
+            assert pencil_spectrum(E, A).abscissa < 0
 
     def test_projection_preserves_dissipativity(self):
         rng = np.random.default_rng(42)
