@@ -16,8 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .pce import PCBasis, QuadratureRule, eval_basis, moment_matrix
-from .systems import (AffineParamSystem, LTISystem, NodeKronSum, _as_columns, _as_dense,
-                      _definite_gram)
+from .systems import AffineParamSystem, LTISystem, NodeKronSum, _as_dense, _definite_gram
 
 
 def _coef_to_sparse(M):
@@ -76,7 +75,9 @@ def assemble_via_quadrature(matrix_fn, basis: PCBasis, rule: QuadratureRule,
                             C=None) -> LTISystem:
     """Projection of a general parameter dependence by numerical integration.
 
-    matrix_fn maps a parameter vector to a tuple (A, B, E) of dense arrays.
+    matrix_fn maps the (k, q) array of quadrature nodes to a tuple (A, B, E)
+    of dense stacks: A and E of shape (k, n, n) and B of shape (k, n, n_in),
+    row j of each realized at node j.  It is called once, with every node.
     The projected blocks are weighted sums of S(mu_k) (x) A(mu_k) and
     s(mu_k) (x) B(mu_k) over the nodes; with positive weights this preserves
     definiteness properties that hold at every node, provided the chaos Gram
@@ -107,20 +108,14 @@ def assemble_via_quadrature(matrix_fn, basis: PCBasis, rule: QuadratureRule,
             f"quadrature with k = {rule.k} nodes gives a singular chaos Gram "
             f"matrix for m = {m} basis polynomials (lambda_min / lambda_max = "
             f"{eig[0] / eig[-1]:.1e}); at least m = {m} nodes are needed")
-    As, Bs, Es = [], [], []
-    for k, mu in enumerate(rule.nodes):
-        try:
-            A_k, B_k, E_k = matrix_fn(mu)
-        except Exception as exc:
-            raise RuntimeError(f"matrix evaluation failed at node {k}: {exc}") from exc
-        A_k = np.asarray(A_k, dtype=float)
-        As.append(A_k)
-        Bs.append(_as_columns(B_k, A_k.shape[0], "B"))
-        Es.append(np.asarray(E_k, dtype=float))
-    n = As[0].shape[0]
-    B_hat = np.einsum("ki,kac->iac", wS, np.stack(Bs)).reshape(m * n, -1)
+    As, Bs, Es = (np.asarray(X, dtype=float) for X in matrix_fn(rule.nodes))
+    n = As.shape[-1]
+    if (As.shape != (rule.k, n, n) or Es.shape != As.shape or Bs.ndim != 3
+            or Bs.shape[:2] != (rule.k, n)):
+        raise ValueError("matrix_fn must return A and E as (k, n, n) stacks and "
+                         "B as a (k, n, n_in) stack, one row per node")
+    B_hat = np.einsum("ki,kac->iac", wS, Bs).reshape(m * n, -1)
     if C is None:
         C = np.zeros((0, m * n))
     w = rule.weights
-    return LTISystem(E=NodeKronSum(S, w, np.stack(Es)),
-                     A=NodeKronSum(S, w, np.stack(As)), B=B_hat, C=C)
+    return LTISystem(E=NodeKronSum(S, w, Es), A=NodeKronSum(S, w, As), B=B_hat, C=C)

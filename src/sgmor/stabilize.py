@@ -30,7 +30,7 @@ from .frequency import FrequencyRule
 from .galerkin import assemble_output, assemble_via_quadrature
 from .lyapunov import freq_projection, solve_lyap_direct
 from .pce import PCBasis, QuadratureRule
-from .systems import AffineParamSystem, LTISystem, _affine_sum, _as_columns, _as_dense, eval_at
+from .systems import AffineParamSystem, LTISystem, _affine_sum, _as_columns, eval_at
 
 DEFAULT_BETA = 1e-5
 
@@ -119,20 +119,24 @@ def technique_ii(aps: AffineParamSystem, basis: PCBasis,
     two conditions on the quadrature: positive weights, and a positive
     definite chaos Gram matrix sum_k w_k s(mu_k) s(mu_k)^T, which takes at
     least m = basis.m nodes; assemble_via_quadrature raises ValueError when
-    either fails.  The output matrix is untouched by the transform, so the
+    either fails.  All nodes go through at once: _affine_sum realizes E, A
+    and B at the k nodes as stacks, one stacked solve_lyap_direct gives the
+    k solutions M (its ValueError names the first node whose E is singular
+    or whose pencil is unstable), and the transformed matrices are stacked
+    products.  The output matrix is untouched by the transform, so the
     exact projected C is attached.  The transformed E and A are
     NodeKronSum operators over the quadrature nodes; arnoldi's shifted
     solves on them run preconditioned GMRES, and reduce multiplies them
     into the basis without forming them.
     """
-    F = np.eye(aps.n)
 
-    def transformed_matrices(mu):
-        sys_mu = eval_at(aps, mu)
-        M = solve_lyap_direct(sys_mu.E, sys_mu.A, F)
-        Ed, Ad, Bd = _as_dense(sys_mu.E), _as_dense(sys_mu.A), _as_dense(sys_mu.B)
-        EtM = Ed.T @ M
-        return EtM @ Ad, EtM @ Bd, EtM @ Ed
+    def transformed_matrices(nodes):
+        E = _affine_sum(aps.E0, aps.E_parts, nodes)
+        A = _affine_sum(aps.A0, aps.A_parts, nodes)
+        B = _affine_sum(aps.B0, aps.B_parts, nodes)
+        M = solve_lyap_direct(E, A, np.broadcast_to(np.eye(aps.n), E.shape))
+        EtM = E.transpose(0, 2, 1) @ M
+        return EtM @ A, EtM @ B, EtM @ E
 
     transformed = assemble_via_quadrature(transformed_matrices, basis, quad,
                                           C=assemble_output(aps, basis))

@@ -264,10 +264,22 @@ class AffineParamSystem:
 
 
 def _affine_sum(const, parts, mu):
+    """const + sum_l mu_l part_l at one parameter vector mu of length q.
+
+    A (k, q) mu realizes the sum at every row at once, as a dense (k, ...)
+    stack: coefficient l of every node broadcasts over its part.  Both add
+    the terms in the order l = 0, 1, ..., so row j of a stack equals the
+    sum at mu[j] bit for bit.
+    """
+    coef = np.asarray(mu, dtype=float)
+    if coef.ndim == 2:
+        coef = coef.T[:, :, None, None]
+        const = np.broadcast_to(_as_dense(const), (coef.shape[1],) + const.shape)
+        parts = [None if part is None else _as_dense(part) for part in parts]
     total = const.copy()
     for l, part in enumerate(parts):
         if part is not None:
-            total = total + mu[l] * part
+            total = total + coef[l] * part
     return total
 
 

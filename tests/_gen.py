@@ -1,6 +1,7 @@
 """Random problem generators and reference oracles shared across test modules."""
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from sgmor import QuadratureRule, shifted_solver
@@ -78,6 +79,22 @@ def lyap_residual(E, A, F, M) -> float:
     return float(np.linalg.norm(R) / nF)
 
 
+def lyap_one_pencil(E, A, F) -> np.ndarray:
+    """The one-pencil Lyapunov solve that the stacked solve_lyap_direct
+    replaced, kept as a reference: E's getrf serves the reductions through
+    scipy's lu_solve, then the same Schur form and trsyl step."""
+    Ed, Ad, Fd = _as_dense(E), _as_dense(A), _as_dense(F)
+    lu, piv, _ = sla.get_lapack_funcs("getrf", (Ed,))(Ed)
+    At = sla.lu_solve((lu, piv), Ad.T, trans=1).T
+    T, Z = sla.schur(At.T, output="real")
+    assert np.diag(T).max() < 0
+    Ft = sla.lu_solve((lu, piv), sla.lu_solve((lu, piv), Fd.T, trans=1).T, trans=1)
+    Y, scale, info = sla.get_lapack_funcs("trsyl", (T,))(T, T, Z.T @ (-Ft @ Z), tranb="T")
+    assert info == 0
+    M = Z @ (scale * Y) @ Z.T
+    return 0.5 * (M + M.T)
+
+
 def tensor_rule(dists, nodes_per_dim: int) -> QuadratureRule:
     """Full tensor Gauss rule in physical coordinates."""
     dists = tuple(dists)
@@ -98,3 +115,13 @@ def tensor_rule(dists, nodes_per_dim: int) -> QuadratureRule:
     for wg in wgrids:
         weights = weights * wg.reshape(-1)
     return QuadratureRule(nodes=nodes, weights=weights)
+
+
+def stacked(matrix_fn):
+    """A per-node matrix_fn(mu) -> (A, B, E) as the stacked form that
+    assemble_via_quadrature calls once with all (k, q) nodes."""
+    def stacked_fn(nodes):
+        A, B, E = zip(*(matrix_fn(mu) for mu in nodes))
+        return np.stack(A), np.stack(B), np.stack(E)
+
+    return stacked_fn

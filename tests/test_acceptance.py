@@ -41,6 +41,7 @@ from _gen import (
     random_stable_generalized,
     random_stable_ode,
     random_stable_sparse,
+    stacked,
 )
 from test_stabilize import dissipative_family, stable_family
 
@@ -144,7 +145,7 @@ def test_criterion_4_stability_theory():
             sysm = eval_at(aps, mu)
             return sysm.A, sysm.B, sysm.E
 
-        gal = assemble_via_quadrature(matrix_fn, basis, quad)
+        gal = assemble_via_quadrature(stacked(matrix_fn), basis, quad)
         Ed, Ad = gal.E.toarray(), gal.A.toarray()
         lam_E = np.linalg.eigvalsh(0.5 * (Ed + Ed.T))
         lam_S = np.linalg.eigvalsh(Ad + Ad.T)

@@ -18,7 +18,7 @@ from sgmor import (
     monte_carlo_rule,
 )
 
-from _gen import tensor_rule
+from _gen import stacked, tensor_rule
 
 
 def one_param_family(rng, n=3):
@@ -158,7 +158,7 @@ class TestQuadratureAssembly:
             return sysm.A, sysm.B, sysm.E
 
         rule = tensor_rule(dists, basis.degree + 2)
-        quad = assemble_via_quadrature(matrix_fn, basis, rule,
+        quad = assemble_via_quadrature(stacked(matrix_fn), basis, rule,
                                        C=assemble_output(aps, basis))
         assert_allclose(quad.A.toarray(), exact.A.toarray(), atol=1e-12)
         assert_allclose(quad.E.toarray(), exact.E.toarray(), atol=1e-12)
@@ -174,19 +174,26 @@ class TestQuadratureAssembly:
             sysm = eval_at(aps, mu)
             return sysm.A, sysm.B, sysm.E
 
-        gal = assemble_via_quadrature(matrix_fn, basis,
+        gal = assemble_via_quadrature(stacked(matrix_fn), basis,
                                       monte_carlo_rule(aps.dists, 20, seed=0))
         assert gal.C.shape == (0, gal.n)
 
-    def test_node_failure_is_located(self):
-        basis = build_basis((Distribution.uniform(-1, 1),), 1)
-        rule = monte_carlo_rule(basis.dists, 5, seed=1)
+    def test_matrix_fn_returns_stacks(self):
+        # one call with every node; one node's matrices are not a stack
+        rng = np.random.default_rng(14)
+        aps, *_ = one_param_family(rng)
+        basis = build_basis(aps.dists, 1)
+        rule = monte_carlo_rule(aps.dists, 5, seed=1)
+        calls = []
 
-        def matrix_fn(mu):
-            raise RuntimeError("boom")
+        def matrix_fn(nodes):
+            calls.append(nodes.shape)
+            sysm = eval_at(aps, nodes[0])
+            return sysm.A, sysm.B, sysm.E
 
-        with pytest.raises(RuntimeError, match="node 0"):
+        with pytest.raises(ValueError, match="stack"):
             assemble_via_quadrature(matrix_fn, basis, rule)
+        assert calls == [(5, 1)]
 
 
 def kron_loop_reference(matrix_fn, basis, rule):
@@ -222,7 +229,7 @@ class TestQuadratureContraction:
             return A0 + t * A1, B0 + u * B1, E0 + u * E1
 
         rule = monte_carlo_rule(dists, 3 * basis.m, seed=seed)
-        gal = assemble_via_quadrature(matrix_fn, basis, rule)
+        gal = assemble_via_quadrature(stacked(matrix_fn), basis, rule)
         A_ref, B_ref, E_ref = kron_loop_reference(matrix_fn, basis, rule)
         # the GEMMs sum the nodes in another order than the loop; entries
         # that cancel to near zero are held to rtol times the largest entry

@@ -10,6 +10,7 @@ from sgmor import (
 )
 
 from _gen import (
+    lyap_one_pencil,
     lyap_residual,
     random_dissipative,
     random_orthonormal,
@@ -53,6 +54,41 @@ class TestDirectSolve:
     def test_singular_e_rejected(self):
         with pytest.raises(ValueError, match="singular"):
             solve_lyap_direct(np.diag([1.0, 0.0]), -np.eye(2), np.eye(2))
+
+    def test_stack_equals_one_by_one(self):
+        # criterion-2-style random problems, k pencils of one size per stack
+        rng = np.random.default_rng(2024)
+        for n in (2, 3, 8, 20, 40):
+            E, A = (np.stack(X) for X in zip(*(random_stable_generalized(rng, n)
+                                               for _ in range(4))))
+            F = np.stack([random_spd(rng, n) for _ in range(4)])
+            M = solve_lyap_direct(E, A, F)
+            assert M.shape == (4, n, n)
+            for Ej, Aj, Fj, Mj in zip(E, A, F, M):
+                assert np.array_equal(Mj, solve_lyap_direct(Ej, Aj, Fj))
+                assert lyap_residual(Ej, Aj, Fj, Mj) < 1e-10
+                # the one-pencil solve the stack replaced factors E, not E^T
+                assert_allclose(Mj, lyap_one_pencil(Ej, Aj, Fj),
+                                rtol=1e-10, atol=1e-10 * np.abs(Mj).max())
+
+    def test_stack_refusal_names_the_node(self):
+        E = np.stack([np.eye(2)] * 3)
+        A = np.stack([-np.eye(2)] * 3)
+        F = np.stack([np.eye(2)] * 3)
+        unstable = A.copy()
+        unstable[1] = np.diag([-1.0, 0.5])
+        with pytest.raises(ValueError, match="node 1: pencil is not asymptotically stable"):
+            solve_lyap_direct(E, unstable, F)
+        singular = E.copy()
+        singular[2, 1, 1] = 1e-15
+        with pytest.raises(ValueError, match="node 2: E is numerically singular"):
+            solve_lyap_direct(singular, A, F)
+        skew = F.copy()
+        skew[0, 0, 1] = 0.4
+        with pytest.raises(ValueError, match="node 0: F must be symmetric"):
+            solve_lyap_direct(E, A, skew)
+        with pytest.raises(ValueError, match="equally sized"):
+            solve_lyap_direct(E, A, F[0])
 
     def test_asymmetric_f_rejected(self):
         F = np.array([[1.0, 0.4], [0.0, 1.0]])

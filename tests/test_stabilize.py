@@ -7,11 +7,14 @@ from sgmor import (
     AffineParamSystem,
     Distribution,
     FrequencyRule,
+    QuadratureRule,
     StabilizationOutcome,
     arnoldi,
     assemble,
+    assemble_via_quadrature,
     build_basis,
     build_bandpass,
+    build_msd,
     eval_at,
     is_dissipative,
     monte_carlo_rule,
@@ -26,8 +29,9 @@ from sgmor import (
     theta_family,
 )
 from sgmor.stabilize import DEFAULT_BETA, _technique_iii_margin
+from sgmor.systems import _affine_sum
 
-from _gen import random_dissipative, random_orthonormal, random_spd
+from _gen import lyap_one_pencil, random_dissipative, random_orthonormal, random_spd, stacked
 
 
 def regularization_gaps(aps, basis, beta, beta_other=None):
@@ -196,8 +200,6 @@ class TestTheoremProperties:
             assert is_dissipative(gal.E.toarray(), gal.A.toarray()).ok
 
     def test_quadrature_assembly_semidefiniteness(self):
-        from sgmor import assemble_via_quadrature
-
         rng = np.random.default_rng(44)
         for trial in range(10):
             n = int(rng.integers(2, 6))
@@ -210,7 +212,7 @@ class TestTheoremProperties:
                 sysm = eval_at(aps, mu)
                 return sysm.A, sysm.B, sysm.E
 
-            gal = assemble_via_quadrature(matrix_fn, basis, quad)
+            gal = assemble_via_quadrature(stacked(matrix_fn), basis, quad)
             Ed = gal.E.toarray()
             Ad = gal.A.toarray()
             lam_E = np.linalg.eigvalsh(0.5 * (Ed + Ed.T))
@@ -287,6 +289,82 @@ class TestTechniqueII:
         res = arnoldi(fom_t.E, fom_t.A, fom_t.B, r_max=6, s0=1.0)
         report = stability_sweep(fom_t, res.V)
         assert all(row.stable for row in report.rows)
+
+
+def per_node_matrices(aps):
+    """Technique ii's transformed node matrices by the per-node loop that the
+    stacked pass replaced: one eval_at, one-pencil solve and transform per
+    node, stacked for assemble_via_quadrature."""
+    def at(mu):
+        sys_mu = eval_at(aps, mu)
+        M = lyap_one_pencil(sys_mu.E, sys_mu.A, np.eye(aps.n))
+        EtM = sys_mu.E.T @ M
+        return EtM @ sys_mu.A, EtM @ sys_mu.B, EtM @ sys_mu.E
+
+    return stacked(at)
+
+
+def one_unstable_family():
+    """E = diag(1, 1 - mu) and A = -I on a Gaussian parameter: E is singular
+    at mu = 1, and the pencil's eigenvalue 1 / (mu - 1) is unstable for
+    mu > 1."""
+    return AffineParamSystem(
+        E0=np.eye(2), A0=-np.eye(2), B0=np.ones((2, 1)), C0=np.ones((1, 2)),
+        E_parts=(np.diag([0.0, -1.0]),), A_parts=(None,),
+        B_parts=(None,), C_parts=(None,), dists=(Distribution.gaussian(0.0, 1.0),))
+
+
+def node_rule(values):
+    return QuadratureRule(nodes=np.array(values)[:, None],
+                          weights=np.full(len(values), 1.0 / len(values)))
+
+
+class TestTechniqueIIStacked:
+    """The stacked pass against the per-node loop it replaced."""
+
+    def test_msd2_node_matrices_equal_per_node_loop(self):
+        # the benchmark's case: MSD degree 2 at 200 nodes, seed 0; MSD's E
+        # is diagonal, so numpy's and scipy's reductions agree bit for bit
+        aps = build_msd()
+        basis = build_basis(aps.dists, 2)
+        quad = monte_carlo_rule(aps.dists, 200, seed=0)
+        got = technique_ii(aps, basis, quad).transformed
+        want = assemble_via_quadrature(per_node_matrices(aps), basis, quad)
+        assert np.array_equal(got.E.X, want.E.X)
+        assert np.array_equal(got.A.X, want.A.X)
+        assert np.array_equal(got.B, want.B)
+
+    def test_bpf1_solves_as_backward_stable_as_per_node_loop(self):
+        # regularized BPF degree 1 at its 100 default nodes: cond(E) ~ 5e5, so
+        # the two reductions round differently and M moves ~1e-11 relative;
+        # compare the backward residual of each node's solve instead
+        aps = regularize_affine(build_bandpass(), DEFAULT_BETA)
+        nodes = monte_carlo_rule(aps.dists, 100, seed=0).nodes
+        E = _affine_sum(aps.E0, aps.E_parts, nodes)
+        A = _affine_sum(aps.A0, aps.A_parts, nodes)
+        F = np.eye(aps.n)
+        stack = solve_lyap_direct(E, A, np.broadcast_to(F, E.shape))
+
+        def backward(Ej, Aj, Mj):
+            R = Aj.T @ Mj @ Ej + Ej.T @ Mj @ Aj + F
+            scale = 2 * np.linalg.norm(Aj) * np.linalg.norm(Mj) * np.linalg.norm(Ej)
+            return np.linalg.norm(R) / (scale + np.linalg.norm(F))
+
+        new = max(backward(*node) for node in zip(E, A, stack))
+        old = max(backward(Ej, Aj, lyap_one_pencil(Ej, Aj, F)) for Ej, Aj in zip(E, A))
+        assert new < 1e-13 and new <= 5 * old
+
+    def test_unstable_node_is_named(self):
+        aps = one_unstable_family()
+        basis = build_basis(aps.dists, 1)
+        with pytest.raises(ValueError, match="node 3: pencil is not asymptotically stable"):
+            technique_ii(aps, basis, node_rule([-0.5, 0.0, 0.5, 2.5, -1.0]))
+
+    def test_singular_e_node_is_named(self):
+        aps = one_unstable_family()
+        basis = build_basis(aps.dists, 1)
+        with pytest.raises(ValueError, match="node 2: E is numerically singular"):
+            technique_ii(aps, basis, node_rule([-0.5, 0.0, 1.0, 0.5, -1.0]))
 
 
 class TestTechniqueIII:

@@ -94,6 +94,20 @@ class TestAffineFamily:
         assert_allclose(sys.A, -2.0 * np.eye(4) - 0.05 * A1, rtol=1e-14)
         assert_allclose(sys.B, np.ones((4, 1)))
 
+    def test_stacked_sum_equals_one_point_sums(self):
+        # rows of a (k, q) stack are dense and bit-identical to eval_at, also
+        # for a sparse part and for B, whose parts are all unset here
+        aps, E1, _ = self._family()
+        aps.E_parts = (sp.csr_matrix(E1), None)
+        nodes = np.random.default_rng(4).standard_normal((5, 2))
+        for name in ("E", "A", "B"):
+            const = getattr(aps, f"{name}0")
+            stack = sgmor.systems._affine_sum(const, getattr(aps, f"{name}_parts"), nodes)
+            assert stack.shape == (5,) + const.shape
+            for mu, row in zip(nodes, stack):
+                one = getattr(eval_at(aps, mu), name)
+                assert np.array_equal(row, one.toarray() if sp.issparse(one) else one)
+
     def test_nominal_means(self):
         aps, _, _ = self._family()
         assert_allclose(aps.nominal(), [1.0, 0.0])
