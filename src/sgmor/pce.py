@@ -8,6 +8,7 @@ integrals, which keeps the cost independent of the parameter count.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -159,6 +160,11 @@ class PCBasis:
     def m(self) -> int:
         return len(self.indices)
 
+    @cached_property
+    def exponents(self) -> np.ndarray:
+        """indices as an (m, q) integer array, built once per basis."""
+        return np.array(self.indices).reshape(self.m, self.q)
+
 
 def build_basis(dists, degree: int) -> PCBasis:
     """Construct the total-degree orthonormal basis for the given parameters."""
@@ -228,21 +234,20 @@ def moment_matrix(basis: PCBasis, l: int):
         return sp.identity(m, format="csr")
     dim = l - 1
     J = _univariate_moment_table(basis.dists[dim], basis.degree)
-    lookup = {idx: pos for pos, idx in enumerate(basis.indices)}
-    rows, cols, vals = [], [], []
-    for i, idx in enumerate(basis.indices):
-        a = idx[dim]
-        for b in range(max(0, a - 1), min(basis.degree, a + 1) + 1):
-            other = list(idx)
-            other[dim] = b
-            j = lookup.get(tuple(other))
-            if j is None:
-                continue
-            rows.append(i)
-            cols.append(j)
-            vals.append(J[a, b])
-    G = sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
-    return G
+    idx = basis.exponents
+    a = idx[:, dim]
+    # sorted by the other coordinates, then by a: two multi-indices that
+    # differ by one in coordinate dim alone are adjacent
+    others = idx.copy()
+    others[:, dim] = 0
+    order = np.lexsort(np.vstack([a, others.T]))
+    i, j = order[:-1], order[1:]
+    pair = (others[i] == others[j]).all(axis=1) & (a[j] == a[i] + 1)
+    i, j = i[pair], j[pair]
+    rows = np.concatenate([np.arange(m), i, j])
+    cols = np.concatenate([np.arange(m), j, i])
+    vals = J[a[rows], a[cols]]
+    return sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
 
 
 @dataclass(frozen=True, eq=False)

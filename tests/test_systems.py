@@ -32,7 +32,7 @@ from sgmor import (
     technique_ii,
     transfer_on_grid,
 )
-from sgmor.bench import project
+from sgmor.bench import project, stabilized_basis
 from sgmor.systems import NodeKronSum
 
 from _gen import (random_dissipative, random_stable_generalized, random_stable_ode,
@@ -315,6 +315,25 @@ def test_shifted_solver(sparse):
                     rtol=1e-12)
 
 
+def test_dense_solve_equals_lu_solve():
+    # the dense backend calls getrs itself: bit for bit what lu_solve gives,
+    # in the type of the factors and the right-hand side, leaving rhs intact
+    rng = np.random.default_rng(39)
+    E, A = rng.standard_normal((2, 7, 7))
+    for s in (0.7, 0.3 + 1.1j):
+        lu = sla.lu_factor(s * E - A)
+        solve = shifted_solver(E, A, s)
+        for rhs in (rng.standard_normal(7), rng.standard_normal((7, 3)),
+                    rng.standard_normal(7) + 1j * rng.standard_normal(7)):
+            kept = rhs.copy()
+            for trans, adjoint in ((0, False), (2, True)):
+                x = solve(rhs, adjoint=adjoint)
+                ref = sla.lu_solve(lu, rhs, trans=trans)
+                assert x.dtype == ref.dtype
+                assert np.array_equal(x, ref)
+            assert np.array_equal(rhs, kept)
+
+
 def test_solves_leave_warning_registry_alone():
     # A warning issued from one place prints once, however many solves run
     # between its repeats.  Run in a fresh interpreter so that pytest's own
@@ -398,8 +417,8 @@ class TestNodeKronSumSolver:
         assert_allclose(fom.E.toarray() @ V, dense.E @ V, rtol=1e-13)
 
     def test_one_gram_inverse_per_pencil(self, msd1_technique_ii, monkeypatch):
-        # G = S^T diag(w) S is inverted once for the whole grid, and Kbar, the
-        # n x n mean block, once per point
+        # G = S^T diag(w) S is inverted once for the whole grid, and the
+        # node matrices X_k once per point, as one stacked (k, n, n) inverse
         _, fom, _ = msd1_technique_ii
         (k, m), n = fom.E.S.shape, fom.E.X.shape[1]
         assert m != n
@@ -414,7 +433,18 @@ class TestNodeKronSumSolver:
         omegas = FrequencyRule.gauss(16).half()[0]
         transfer_on_grid(fom, omegas)
         assert shapes.count((m, m)) == 1
-        assert shapes.count((n, n)) == omegas.size
+        assert shapes.count((k, n, n)) == omegas.size
+        assert len(shapes) == 1 + omegas.size
+
+    def test_singular_node_matrix_names_the_shift(self, msd1_technique_ii):
+        # one singular X_k makes the node-wise preconditioner undefined
+        cfg, fom, _ = msd1_technique_ii
+        X = fom.A.X.copy()
+        X[3] = 0.0
+        A = NodeKronSum(fom.A.S, fom.A.w, X)
+        s = cfg.expansion_point
+        with pytest.raises(ValueError, match=re.escape(str(s))):
+            shifted_solver(0.0 * A, A, s)
 
     def test_singular_gram_matrix_names_the_shift(self, msd1_technique_ii, monkeypatch):
         # One node at the parameter means, where every degree-1 chaos
@@ -455,6 +485,61 @@ class TestNodeKronSumSolver:
         assert_allclose(transfer_on_grid(fom, omegas), H_dense, rtol=1e-10,
                         atol=1e-10 * np.abs(H_dense).max())
         assert_allclose(h2_relative_error(fom, rom), err_dense, rtol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def msd2_technique_ii():
+    """MSD degree 2 and technique ii's run at cfg.quad_nodes nodes (the
+    default 2 m = 342 when None): project's output, Arnoldi basis and outcome."""
+    cache = {}
+
+    def run(quad_nodes):
+        if quad_nodes not in cache:
+            cfg = RunConfig(model="msd", degree=2, technique="ii", quad_nodes=quad_nodes,
+                            with_errors=False)
+            cache[quad_nodes] = (cfg, *stabilized_basis(cfg, timings={}))
+        return cache[quad_nodes]
+
+    return run
+
+
+class TestNodeWisePreconditioner:
+    def test_arnoldi_solves_take_few_products(self, msd2_technique_ii, monkeypatch):
+        # the mean-based G^-1 (x) Kbar^-1 took 19-20 operator products per
+        # solve here; the node-wise one takes 7-9
+        cfg, _, _, outcome = msd2_technique_ii(200)
+        fom = outcome.transformed
+        gmres = sgmor.systems._gmres
+        products = []
+
+        class Counting:
+            def __init__(self, K):
+                self.K, self.dtype, self.count = K, K.dtype, 0
+
+            def __matmul__(self, v):
+                self.count += 1
+                return self.K @ v
+
+        def counting_gmres(K, precondition, b):
+            op = Counting(K)
+            x = gmres(op, precondition, b)
+            products.append(op.count)
+            return x
+
+        monkeypatch.setattr(sgmor.systems, "_gmres", counting_gmres)
+        arnoldi(fom.E, fom.A, fom.B, cfg.expansion_point, cfg.r_max)
+        assert len(products) == cfg.r_max
+        assert max(products) <= 12
+
+    def test_reassembly_distance_on_the_imaginary_axis(self, msd2_technique_ii):
+        # every point of the 200-node rule converges within the unchanged
+        # cap; the mean-based preconditioner missed it at 13 of the 100
+        assert sgmor.systems._GMRES_MAXITER == 60
+        _, (_, _, projected), _, outcome = msd2_technique_ii(None)
+        assert outcome.transformed.E.S.shape == (342, 171)
+        err = h2_relative_error(projected, outcome.transformed,
+                                FrequencyRule.gauss(200))
+        assert np.isfinite(err)
 
 
 def per_shift_solver(E, A, s):
