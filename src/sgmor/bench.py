@@ -329,13 +329,19 @@ class RunConfig:
         return RunConfig(**d)
 
 
-def project(cfg: RunConfig):
-    """The family of cfg.model, regularized when cfg.beta is set, its chaos
-    basis of cfg.degree, and the projected system; returns (aps, basis, fom)."""
+def _family(cfg: RunConfig):
+    """The family of cfg.model, regularized when cfg.beta is set, and its
+    chaos basis of cfg.degree; returns (aps, basis)."""
     aps = MODELS[cfg.model]["build"]()
     if cfg.beta is not None:
         aps = regularize_affine(aps, cfg.beta)
-    basis = build_basis(aps.dists, cfg.degree)
+    return aps, build_basis(aps.dists, cfg.degree)
+
+
+def project(cfg: RunConfig):
+    """_family's family and basis, and the projected system; returns
+    (aps, basis, fom)."""
+    aps, basis = _family(cfg)
     return aps, basis, assemble(aps, basis)
 
 
@@ -345,11 +351,16 @@ def stabilized_basis(cfg: RunConfig, timings: dict):
     Returns (projection, arn, outcome): project's (aps, basis, fom), the
     Arnoldi basis of the system that is reduced (the re-assembled one under
     technique ii), and the StabilizationOutcome, None for technique "none".
-    Wall times of the assemble, arnoldi and stabilize stages go into timings.
+    Technique ii without errors reads nothing of the projected system, so
+    there fom is None and is not assembled.  Wall times of the assemble,
+    arnoldi and stabilize stages go into timings.
     """
     t0 = time.perf_counter()
-    projection = project(cfg)
-    aps, basis, fom = projection
+    aps, basis = _family(cfg)
+    fom = None
+    if cfg.technique != "ii" or cfg.with_errors:
+        fom = assemble(aps, basis)
+    projection = aps, basis, fom
     timings["assemble"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -391,6 +402,8 @@ def run_experiment(cfg: RunConfig) -> dict:
     fom, error_reference = projected, None
     if outcome is not None and outcome.transformed is not None:
         fom, error_reference = outcome.transformed, projected
+    # technique i hands over its reduced system of order r_max, not a factor
+    swept = arn.V if outcome is None or outcome.reduced is None else outcome.reduced
     W = None if outcome is None else outcome.W
     diag = {} if outcome is None else outcome.diagnostics
 
@@ -398,7 +411,7 @@ def run_experiment(cfg: RunConfig) -> dict:
     if cfg.with_errors:
         freq_rule = FrequencyRule.gauss(cfg.error_nodes, omega_scale=cfg.omega_scale)
     t0 = time.perf_counter()
-    report = stability_sweep(fom, arn.V, W_full=W, freq_rule=freq_rule,
+    report = stability_sweep(fom, swept, W_full=W, freq_rule=freq_rule,
                              error_reference=error_reference)
     timings["sweep"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
@@ -406,10 +419,10 @@ def run_experiment(cfg: RunConfig) -> dict:
     result = {
         "config": asdict(cfg),
         "model": cfg.model,
-        "dimension": projected.n,
+        "dimension": basis.m * aps.n,
         "blocks": basis.m,
         "state_dim": aps.n,
-        "outputs": projected.n_out,
+        "outputs": basis.m * aps.n_out,
         "expansion_point": cfg.expansion_point,
         "omega_scale": cfg.omega_scale,
         "beta": cfg.beta,

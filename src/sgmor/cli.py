@@ -117,12 +117,18 @@ def _cmd_stabilize(args) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     np.savetxt(out_dir / "V.txt", arn.V)
-    np.savetxt(out_dir / "W.txt", outcome.W)
+    if outcome.reduced is not None:
+        # technique i's product is the reduced system itself, not a factor
+        save_system(outcome.reduced, out_dir, extra={"kind": "reduced"})
+        written = "V.txt, the reduced system (system.json, E/A/B/C.mtx)"
+    else:
+        np.savetxt(out_dir / "W.txt", outcome.W)
+        written = "V.txt, W.txt"
     with open(out_dir / "diagnostics.json", "w") as fh:
         json.dump({"technique": outcome.technique, **outcome.diagnostics},
                   fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
-    print(f"technique {outcome.technique}: wrote V.txt, W.txt, diagnostics.json "
+    print(f"technique {outcome.technique}: wrote {written}, diagnostics.json "
           f"to {out_dir}")
     return 0
 
@@ -169,7 +175,8 @@ def main(argv=None) -> int:
     p_red.add_argument("--out", type=str, required=True)
     p_red.set_defaults(func=_cmd_reduce)
 
-    p_st = sub.add_parser("stabilize", help="compute a stabilizing left factor",
+    p_st = sub.add_parser("stabilize", help="compute a stabilizing left factor "
+                          "(iii) or stabilized reduced system (i)",
                           **omitted)
     p_st.add_argument("--model", choices=list(MODELS), required=True)
     p_st.add_argument("--degree", type=int)

@@ -166,15 +166,16 @@ def h2_relative_error(fom: LTISystem, rom: LTISystem,
     return _relative_error_fn(fom, rule, rom)(rom)
 
 
-def stability_sweep(fom: LTISystem, V_full, W_full=None,
+def stability_sweep(fom: LTISystem, projection, W_full=None,
                     freq_rule: FrequencyRule | None = None,
                     error_reference: LTISystem | None = None) -> StabilityReport:
-    """Reduce at every order r = 1..V_full.shape[1]; classify stability.
+    """Reduce at every order r = 1..r_max; classify stability.
 
-    The system is projected once, onto all columns of V_full and W_full.
-    The model of order r is that projection's leading block E[:r, :r],
-    A[:r, :r], B[:r], C[:, :r], which is exactly the projection onto the
-    first r columns.
+    projection is either the n x r_max basis V_full, which is projected
+    once, with the left factor W_full (V_full by default), or the reduced
+    system of order r_max itself (technique i's).  The model of order r is
+    that system's leading block E[:r, :r], A[:r, :r], B[:r], C[:, :r],
+    which is exactly the projection onto the first r columns.
 
     With freq_rule given, relative H2 errors are computed on that shared grid
     against error_reference (the reduction target fom by default; pass the
@@ -189,11 +190,6 @@ def stability_sweep(fom: LTISystem, V_full, W_full=None,
     that row's note and the sweep continues.  Failed rows are listed in
     failed_orders, not in unstable_orders.
     """
-    V_full = np.atleast_2d(np.asarray(V_full, dtype=float))
-    if W_full is not None:
-        W_full = np.atleast_2d(np.asarray(W_full, dtype=float))
-        if W_full.shape != V_full.shape:
-            raise ValueError("W must have the same shape as V")
     error = None
     if freq_rule is not None:
         reference = fom if error_reference is None else error_reference
@@ -203,14 +199,24 @@ def stability_sweep(fom: LTISystem, V_full, W_full=None,
         return SweepRow(r=r, stable=False, abscissa=float("nan"),
                         rel_h2_error=None, note=str(exc))
 
-    orders = range(1, V_full.shape[1] + 1)
-    try:
-        full = reduce(fom, V_full, W_full)
-    except Exception as exc:
-        return StabilityReport(rows=[failed(r, exc) for r in orders])
+    if isinstance(projection, LTISystem):
+        if W_full is not None:
+            raise ValueError("a reduced system takes no left factor")
+        full = projection
+    else:
+        V_full = np.atleast_2d(np.asarray(projection, dtype=float))
+        if W_full is not None:
+            W_full = np.atleast_2d(np.asarray(W_full, dtype=float))
+            if W_full.shape != V_full.shape:
+                raise ValueError("W must have the same shape as V")
+        try:
+            full = reduce(fom, V_full, W_full)
+        except Exception as exc:
+            return StabilityReport(rows=[failed(r, exc)
+                                         for r in range(1, V_full.shape[1] + 1)])
 
     rows = []
-    for r in orders:
+    for r in range(1, full.n + 1):
         try:
             rom = LTISystem(E=full.E[:r, :r], A=full.A[:r, :r], B=full.B[:r],
                             C=full.C[:, :r])

@@ -5,9 +5,10 @@ negative definite) stays asymptotically stable under any one-sided projection
 with full-rank V.  None of the benchmark systems are dissipative as built, so
 three transformations manufacture that structure:
 
-  technique i    multiply the projection basis by the Lyapunov solution of
-                 the projected system, computed matrix-free in the frequency
-                 domain;
+  technique i    project with the left factor M E V, M the Lyapunov
+                 solution of the projected system; the reduced matrices
+                 come from a frequency-domain quadrature that forms neither
+                 M nor the factor;
   technique ii   transform every parameter realization by its own Lyapunov
                  solution and re-project with positive-weight quadrature,
                  kept as a node-sum operator and solved by GMRES;
@@ -78,32 +79,41 @@ def regularize_affine(aps: AffineParamSystem, beta: float = DEFAULT_BETA) -> Aff
 class StabilizationOutcome:
     """Result of one stabilizing transformation.
 
-    Exactly one of W (a replacement left-projection factor) and transformed
-    (a re-assembled projected system) is set, depending on the technique.
+    Exactly one of W (a replacement left-projection factor, technique iii),
+    transformed (a re-assembled projected system, technique ii) and reduced
+    (the stabilized reduced system of the basis's full order, technique i)
+    is set.
     """
 
     technique: str
     W: np.ndarray | None = None
     transformed: LTISystem | None = None
+    reduced: LTISystem | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if (self.W is None) == (self.transformed is None):
-            raise ValueError("exactly one of W and transformed must be set")
+        if sum(x is not None for x in (self.W, self.transformed, self.reduced)) != 1:
+            raise ValueError("exactly one of W, transformed and reduced must be set")
 
 
 def technique_i(fom: LTISystem, V, rule: FrequencyRule) -> StabilizationOutcome:
-    """Left factor W = M E V from the projected system's Lyapunov solution.
+    """The reduced system V^T E^T M (E V, A V, B) with output C V.
 
     M solves A^T M E + E^T M A + I = 0 for the pencil of the projected
-    system fom, which must be asymptotically stable.  W is computed by
-    frequency-domain quadrature on rule with one sparse factorization per
-    node and is returned unnormalized.
+    system fom, which must be asymptotically stable.  The reduction is the
+    Petrov-Galerkin one with left factor W = M E V, but W is never formed:
+    freq_projection makes the reduced matrices by frequency-domain
+    quadrature on rule, with one sparse factorization and one forward solve
+    of r + n_in right-hand sides per node.  The reduced system has the
+    order r of V; its leading blocks are the reductions onto V's leading
+    columns.
     """
+    V = _as_columns(V, fom.n, "V")
     F = sp.identity(fom.n, format="csr")
-    W = freq_projection(fom.E, fom.A, F, V, rule)
+    E_r, A_r, B_r = freq_projection(fom.E, fom.A, F, V, rule, fom.B)
+    reduced = LTISystem(E=E_r, A=A_r, B=B_r, C=np.asarray(fom.C @ V))
     return StabilizationOutcome(
-        technique="i", W=W,
+        technique="i", reduced=reduced,
         diagnostics={"nodes": rule.n_nodes, "omega_scale": rule.omega_scale})
 
 

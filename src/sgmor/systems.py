@@ -389,19 +389,18 @@ def _singular(s) -> str:
 
 
 def _pencil(E, A):
-    """solver(s) -> solve(rhs, adjoint=False) for K = s E - A, at one shift or
-    many: the one place that chooses how a pencil is solved.
+    """solver(s) -> solve(rhs) for K = s E - A, at one shift or many: the
+    one place that chooses how a pencil is solved.
 
-    solve applies K^-1, or K^-H with adjoint set; K is real for real E, A and
-    s.  Work that does not depend on s is done once per pencil.  A dense K is
-    factored by LAPACK getrf (_dense_solver), a sparse one by SuperLU
-    (_SparsePencil), and a NodeKronSum one, technique ii's re-assembled
-    system, is solved by GMRES with a node-wise preconditioner
-    (_node_sum_solver) whose S G^-1, with G the chaos Gram matrix, is formed
-    here.  A singular K, a Gram matrix that fails the test of
-    assemble_via_quadrature (_definite_gram), a singular node matrix of a
-    NodeKronSum K, a non-finite solution or GMRES that misses _GMRES_RTOL
-    raises ValueError naming s.
+    solve applies K^-1; K is real for real E, A and s.  Work that does not
+    depend on s is done once per pencil.  A dense K is factored by LAPACK
+    getrf (_dense_solver), a sparse one by SuperLU (_SparsePencil), and a
+    NodeKronSum one, technique ii's re-assembled system, is solved by GMRES
+    with a node-wise preconditioner (_node_sum_solver) whose S G^-1, with G
+    the chaos Gram matrix, is formed here.  A singular K, a Gram matrix that
+    fails the test of assemble_via_quadrature (_definite_gram), a singular
+    node matrix of a NodeKronSum K, a non-finite solution or GMRES that
+    misses _GMRES_RTOL raises ValueError naming s.
     """
     if isinstance(E, NodeKronSum):
         G = E.S.T @ (E.w[:, None] * E.S)
@@ -479,13 +478,13 @@ def _splu(K, singular, options):
 
 
 def _superlu_solver(lu, singular, perm=None, inv=None):
-    """solve(rhs, adjoint=False) from a SuperLU factorization.  With perm,
-    lu factors P K P^T for the K solved for, and inv is perm's inverse."""
+    """solve(rhs) from a SuperLU factorization.  With perm, lu factors
+    P K P^T for the K solved for, and inv is perm's inverse."""
 
-    def solve(rhs, adjoint=False):
+    def solve(rhs):
         if perm is not None:
             rhs = rhs[inv]
-        x = lu.solve(rhs, trans="H" if adjoint else "N")
+        x = lu.solve(rhs)
         if not np.all(np.isfinite(x)):
             raise ValueError(singular)
         return x if perm is None else x[perm]
@@ -550,7 +549,7 @@ def _gmres(K, precondition, b):
 
 
 def _node_sum_solver(K, SG, singular):
-    """solve(rhs, adjoint=False) for a NodeKronSum K by preconditioned GMRES.
+    """solve(rhs) for a NodeKronSum K by preconditioned GMRES.
 
     K = (S^T diag(w) (x) I) blockdiag(X_k) (S (x) I), and the preconditioner
     inverts each factor in turn: P = (G^-1 S^T diag(w) (x) I) blockdiag(X_k^-1)
@@ -562,10 +561,9 @@ def _node_sum_solver(K, SG, singular):
     it is SG^T diag(w) Y with Y_k = X_k^-1 (SG V)_k: two k x m GEMMs and k
     batched n x n products.  SG = S G^-1 is formed once per pencil (None if G
     is not definite), and the X_k^-1 once per shift by one stacked inverse.
-    K^H is the operator on the X_k^H, since w_k s_k s_k^T is real
-    symmetric, and is preconditioned with the X_k^-H.  A column whose true
-    residual does not reach _GMRES_RTOL within _GMRES_MAXITER iterations, a
-    G that is not definite or a singular X_k raises ValueError(singular).
+    A column whose true residual does not reach _GMRES_RTOL within
+    _GMRES_MAXITER iterations, a G that is not definite or a singular X_k
+    raises ValueError(singular).
     """
     if SG is None:
         raise ValueError(singular)
@@ -576,22 +574,17 @@ def _node_sum_solver(K, SG, singular):
     except np.linalg.LinAlgError as exc:
         raise ValueError(singular) from exc
 
-    def solve(rhs, adjoint=False):
-        op, node_inv = K, X_inv
-        if adjoint:
-            op = NodeKronSum(S, w, X.conj().transpose(0, 2, 1))
-            node_inv = X_inv.conj().transpose(0, 2, 1)
+    def precondition(v):
+        Z = _real_matmul(SG, v.reshape(m, n))
+        Y = np.einsum("kab,kb->ka", X_inv, Z) * w[:, None]
+        return _real_matmul(SG.T, Y).ravel()
 
-        def precondition(v):
-            Z = _real_matmul(SG, v.reshape(m, n))
-            Y = np.einsum("kab,kb->ka", node_inv, Z) * w[:, None]
-            return _real_matmul(SG.T, Y).ravel()
-
+    def solve(rhs):
         rhs = np.asarray(rhs)
         b = rhs.reshape(rhs.shape[0], -1)
         x = np.empty(b.shape, np.result_type(X, b))
         for j in range(b.shape[1]):
-            xj = _gmres(op, precondition, b[:, j])
+            xj = _gmres(K, precondition, b[:, j])
             if xj is None:
                 raise ValueError(singular)
             x[:, j] = xj
@@ -601,8 +594,8 @@ def _node_sum_solver(K, SG, singular):
 
 
 def _dense_solver(E, A, s):
-    """solve(rhs, adjoint=False) for a dense s E - A, factored by LAPACK getrf
-    and solved by getrs."""
+    """solve(rhs) for a dense s E - A, factored by LAPACK getrf and solved by
+    getrs."""
     singular = _singular(s)
     K = np.asarray(s * E - A)
     getrf = sla.get_lapack_funcs("getrf", (K,))
@@ -610,12 +603,12 @@ def _dense_solver(E, A, s):
     if info != 0:
         raise ValueError(singular)
 
-    def solve(rhs, adjoint=False):
+    def solve(rhs):
         # getrs as scipy.linalg.lu_solve calls it, in the type of lu and rhs,
         # without lu_solve's per-call batching wrapper
         rhs = np.asarray(rhs)
         getrs = sla.get_lapack_funcs("getrs", (lu, rhs))
-        x, info = getrs(lu, piv, rhs, trans=2 if adjoint else 0)
+        x, info = getrs(lu, piv, rhs)
         if info != 0:
             raise ValueError(f"getrs: illegal value in argument {-info}")
         if not np.all(np.isfinite(x)):
@@ -626,8 +619,8 @@ def _dense_solver(E, A, s):
 
 
 def shifted_solver(E, A, s):
-    """solve(rhs, adjoint=False) for K = s E - A at one shift, from _pencil:
-    it applies K^-1, or K^-H with adjoint set; a singular K raises ValueError."""
+    """solve(rhs) for K = s E - A at one shift, from _pencil: it applies
+    K^-1; a singular K raises ValueError."""
     return _pencil(E, A)(s)
 
 

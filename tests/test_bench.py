@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
+import sgmor.bench
 import sgmor.systems
 from sgmor import (
     RunConfig,
@@ -270,6 +271,27 @@ class TestRunExperiment:
         assert result["unstable_orders"] == []
         assert result["failed_orders"] == []
         assert len(result["rows"]) == 30
+
+    def test_technique_ii_without_errors_assembles_nothing(self, monkeypatch):
+        # it reduces its re-assembled system; the projected one would only be
+        # the error sweep's reference
+        assemble = sgmor.bench.assemble
+        calls = []
+
+        def counting_assemble(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(sgmor.bench, "assemble", counting_assemble)
+        result = run_experiment(RunConfig(model="msd", degree=1, technique="ii",
+                                          r_max=3, with_errors=False))
+        assert calls == []
+        assert result["dimension"] == 180
+        assert result["outputs"] == 18
+        assert result["failed_orders"] == []
+        run_experiment(RunConfig(model="msd", degree=1, technique="ii", r_max=3,
+                                 error_nodes=20))
+        assert len(calls) == 1
 
     def test_technique_ii_degree_2_is_small_and_stable(self):
         # the re-assembled system is held as S, weights and node matrices:

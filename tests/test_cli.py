@@ -125,9 +125,12 @@ class TestStabilizeCommand:
         assert main(["assemble", "--model", "bpf", "--degree", "1",
                      "--out", str(tmp_path / "fom")]) == 0
         fom, _ = load_system(tmp_path / "fom")
-        V = np.loadtxt(tmp_path / "fac" / "V.txt")
-        W = np.loadtxt(tmp_path / "fac" / "W.txt")
-        report = stability_sweep(fom, V, W_full=W)
+        rom, extra = load_system(tmp_path / "fac")
+        assert extra == {"kind": "reduced"}
+        assert not (tmp_path / "fac" / "W.txt").exists()
+        assert np.loadtxt(tmp_path / "fac" / "V.txt").shape == (fom.n, 30)
+        assert rom.n_out == fom.n_out
+        report = stability_sweep(fom, rom)
         assert len(report.rows) == 30
         assert report.unstable_orders == []
         assert report.failed_orders == []

@@ -106,12 +106,17 @@ class TestDirectSolve:
         assert chk.ok
 
 
+def left_factor(E, A, F, V, rule):
+    """W = M E V from freq_projection: with X = I its third product is W^T."""
+    return freq_projection(E, A, F, V, rule, np.eye(E.shape[0]))[2].T
+
+
 class TestFrequencyProjection:
     def test_scalar_exact(self):
         # E = 1, A = -1, F = 2: M = 1, so W = M E V = V
-        W = freq_projection(np.array([[1.0]]), np.array([[-1.0]]),
-                            np.array([[2.0]]), np.array([[1.0]]),
-                            FrequencyRule.gauss(40))
+        W = left_factor(np.array([[1.0]]), np.array([[-1.0]]),
+                        np.array([[2.0]]), np.array([[1.0]]),
+                        FrequencyRule.gauss(40))
         assert_allclose(W, [[1.0]], rtol=1e-12)
 
     def test_converges_to_direct(self):
@@ -123,10 +128,23 @@ class TestFrequencyProjection:
         W_ref = solve_lyap_direct(E, A, F) @ E @ V
         errs = []
         for k in (8, 32, 128):
-            W = freq_projection(E, A, F, V, FrequencyRule.gauss(k))
+            W = left_factor(E, A, F, V, FrequencyRule.gauss(k))
             errs.append(np.linalg.norm(W - W_ref) / np.linalg.norm(W_ref))
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] < 1e-6
+
+    def test_reduced_pencil_converges_to_direct(self):
+        # all three products against V^T E^T M (E V, A V, X) of the direct M
+        rng = np.random.default_rng(26)
+        n, r = 30, 4
+        E, A = random_stable_generalized(rng, n, margin=0.5)
+        F = random_spd(rng, n)
+        V = random_orthonormal(rng, n, r)
+        X = rng.standard_normal((n, 2))
+        WT = V.T @ E.T @ solve_lyap_direct(E, A, F)
+        for got, ref in zip(freq_projection(E, A, F, V, FrequencyRule.gauss(128), X),
+                            (WT @ E @ V, WT @ A @ V, WT @ X)):
+            assert np.linalg.norm(got - ref) < 1e-6 * np.linalg.norm(ref)
 
     def test_sparse_path_matches_dense(self):
         rng = np.random.default_rng(24)
@@ -134,13 +152,13 @@ class TestFrequencyProjection:
         F = np.eye(25)
         V = random_orthonormal(rng, 25, 3)
         rule = FrequencyRule.gauss(64)
-        W_sp = freq_projection(E, A, F, V, rule)
-        W_d = freq_projection(E.toarray(), A.toarray(), F, V, rule)
+        W_sp = left_factor(E, A, F, V, rule)
+        W_d = left_factor(E.toarray(), A.toarray(), F, V, rule)
         assert_allclose(W_sp, W_d, atol=1e-11 * np.abs(W_d).max())
 
     def test_vector_v_promoted(self):
-        W = freq_projection(np.eye(2), -np.eye(2), np.eye(2),
-                            np.array([1.0, 0.0]), FrequencyRule.gauss(32))
+        W = left_factor(np.eye(2), -np.eye(2), np.eye(2),
+                        np.array([1.0, 0.0]), FrequencyRule.gauss(32))
         assert W.shape == (2, 1)
 
 

@@ -228,31 +228,33 @@ class TestOutcome:
         with pytest.raises(ValueError):
             StabilizationOutcome(technique="x", W=np.eye(2),
                                  transformed="anything")
+        with pytest.raises(ValueError):
+            StabilizationOutcome(technique="x", W=np.eye(2), reduced="anything")
 
 
 class TestTechniqueI:
-    def test_left_factor_stabilizes_all_orders(self):
+    def test_reduced_system_stable_at_all_orders(self):
         rng = np.random.default_rng(51)
         aps = stable_family(rng, 4, 2, part_scale=0.1)
         fom = assemble(aps, build_basis(aps.dists, 2))
         res = arnoldi(fom.E, fom.A, fom.B, r_max=10, s0=1.0)
         out = technique_i(fom, res.V, rule=FrequencyRule.gauss(64))
         assert out.technique == "i"
-        assert out.W.shape == res.V.shape
+        assert out.W is None and out.transformed is None
+        assert out.reduced.n == res.V.shape[1]
         assert out.diagnostics["nodes"] == 64
-        report = stability_sweep(fom, res.V, W_full=out.W)
+        report = stability_sweep(fom, out.reduced)
         assert all(row.stable for row in report.rows)
 
     def test_reduced_pencil_is_dissipative(self):
-        # with enough nodes W^T E V is SPD and sym(W^T A V) ND
+        # with enough nodes V^T E^T M E V is SPD and sym(V^T E^T M A V) ND
         rng = np.random.default_rng(52)
         aps = stable_family(rng, 3, 1, part_scale=0.1)
         fom = assemble(aps, build_basis(aps.dists, 2))
         res = arnoldi(fom.E, fom.A, fom.B, r_max=4, s0=1.0)
-        W = technique_i(fom, res.V, rule=FrequencyRule.gauss(128)).W
-        Er = W.T @ (fom.E @ res.V)
-        Ar = W.T @ (fom.A @ res.V)
-        assert is_dissipative(0.5 * (Er + Er.T), Ar).ok
+        rom = technique_i(fom, res.V, rule=FrequencyRule.gauss(128)).reduced
+        assert np.array_equal(rom.E, rom.E.T)
+        assert is_dissipative(rom.E, rom.A).ok
 
 
 class TestTechniqueII:

@@ -278,7 +278,8 @@ def test_shifted_solver(sparse):
     calls = [
         (0.5 + 2j, lambda: transfer_eval(sys, 0.5 + 2j)),
         (0.7, lambda: arnoldi(E_sing, A_sing, np.ones((3, 1)), 0.7, 2)),
-        (node, lambda: freq_projection(E_sing, A_sing, np.eye(3), np.ones((3, 1)), rule)),
+        (node, lambda: freq_projection(E_sing, A_sing, np.eye(3), np.ones((3, 1)), rule,
+                                       np.ones((3, 1)))),
         (node, lambda: transfer_on_grid(sys, rule.half()[0])),
     ]
     with warnings.catch_warnings():
@@ -295,8 +296,6 @@ def test_shifted_solver(sparse):
     K = s * E - A
     solve = shifted_solver(fmt(E), fmt(A), s)
     assert_allclose(solve(rhs), np.linalg.solve(K, rhs), rtol=1e-12)
-    assert_allclose(solve(rhs, adjoint=True), np.linalg.solve(K.conj().T, rhs),
-                    rtol=1e-12)
     x = shifted_solver(fmt(E), fmt(A), 0.7)(rhs.real)
     assert np.isrealobj(x)
     assert_allclose(x, np.linalg.solve(0.7 * E - A, rhs.real), rtol=1e-12)
@@ -311,8 +310,6 @@ def test_shifted_solver(sparse):
     assert K[5, 5] == 0.0
     solve = shifted_solver(fmt(E), fmt(A), s)
     assert_allclose(solve(rhs), np.linalg.solve(K, rhs), rtol=1e-12)
-    assert_allclose(solve(rhs, adjoint=True), np.linalg.solve(K.conj().T, rhs),
-                    rtol=1e-12)
 
 
 def test_dense_solve_equals_lu_solve():
@@ -326,11 +323,10 @@ def test_dense_solve_equals_lu_solve():
         for rhs in (rng.standard_normal(7), rng.standard_normal((7, 3)),
                     rng.standard_normal(7) + 1j * rng.standard_normal(7)):
             kept = rhs.copy()
-            for trans, adjoint in ((0, False), (2, True)):
-                x = solve(rhs, adjoint=adjoint)
-                ref = sla.lu_solve(lu, rhs, trans=trans)
-                assert x.dtype == ref.dtype
-                assert np.array_equal(x, ref)
+            x = solve(rhs)
+            ref = sla.lu_solve(lu, rhs)
+            assert x.dtype == ref.dtype
+            assert np.array_equal(x, ref)
             assert np.array_equal(rhs, kept)
 
 
@@ -382,11 +378,10 @@ class TestNodeKronSumSolver:
         rng = np.random.default_rng(36)
         rhs = rng.standard_normal(fom.n)
         solve = shifted_solver(fom.E, fom.A, s)
-        for adjoint, K_op in ((False, K), (True, K.conj().T)):
-            x = solve(rhs, adjoint=adjoint)
-            assert np.isrealobj(x) == (kind == "s0")
-            assert_allclose(x, np.linalg.solve(K_op, rhs), rtol=1e-10,
-                            atol=1e-10 * np.abs(x).max())
+        x = solve(rhs)
+        assert np.isrealobj(x) == (kind == "s0")
+        assert_allclose(x, np.linalg.solve(K, rhs), rtol=1e-10,
+                        atol=1e-10 * np.abs(x).max())
 
     @pytest.mark.parametrize("name, value",
                              [("_GMRES_MAXITER", 1), ("_GMRES_RTOL", 1e-16)],
@@ -535,7 +530,9 @@ class TestNodeWisePreconditioner:
         # every point of the 200-node rule converges within the unchanged
         # cap; the mean-based preconditioner missed it at 13 of the 100
         assert sgmor.systems._GMRES_MAXITER == 60
-        _, (_, _, projected), _, outcome = msd2_technique_ii(None)
+        cfg, (_, _, projected), _, outcome = msd2_technique_ii(None)
+        assert projected is None  # a run without errors does not assemble it
+        projected = project(cfg)[2]
         assert outcome.transformed.E.S.shape == (342, 171)
         err = h2_relative_error(projected, outcome.transformed,
                                 FrequencyRule.gauss(200))
@@ -587,7 +584,8 @@ class TestSparsePencil:
         H, H_ref = transfer_on_grid(fom, omegas), per_shift_transfer(fom, omegas)
         assert_allclose(H, H_ref, rtol=1e-12, atol=1e-12 * np.abs(H_ref).max())
         F = sp.identity(fom.n, format="csr")
-        W = freq_projection(fom.E, fom.A, F, V, rule)
+        # with X = I the third product is W^T
+        W = freq_projection(fom.E, fom.A, F, V, rule, F)[2].T
         W_ref = per_shift_projection(fom.E, fom.A, F, V, rule)
         assert_allclose(W, W_ref, rtol=1e-12, atol=1e-12 * np.abs(W_ref).max())
 
@@ -606,7 +604,8 @@ class TestSparsePencil:
         union = (abs(fom.E) + abs(fom.A)).nnz
         assert union == 8532
         for call in (lambda: transfer_on_grid(fom, rule.half()[0]),
-                     lambda: freq_projection(fom.E, fom.A, sp.identity(fom.n), V, rule)):
+                     lambda: freq_projection(fom.E, fom.A, sp.identity(fom.n), V, rule,
+                                             fom.B)):
             calls.clear()
             call()
             # one factorization per shift, and the one minimum-degree
@@ -638,8 +637,6 @@ class TestSparsePencil:
             K = s * E.toarray() - A.toarray()
             solve = solver(s)
             assert_allclose(solve(rhs), np.linalg.solve(K, rhs), rtol=1e-12)
-            assert_allclose(solve(rhs, adjoint=True), np.linalg.solve(K.conj().T, rhs),
-                            rtol=1e-12)
 
     def test_singular_later_shift_names_it(self):
         # E = I with the block [[0, w], [-w, 0]] in A: s E - A is exactly
@@ -652,9 +649,53 @@ class TestSparsePencil:
         E = sp.identity(4, format="csr")
         lti = LTISystem(E=E, A=A, B=np.ones((4, 1)), C=np.ones((1, 4)))
         for call in (lambda: transfer_on_grid(lti, omegas),
-                     lambda: freq_projection(E, A, np.eye(4), np.eye(4)[:, :2], rule)):
+                     lambda: freq_projection(E, A, np.eye(4), np.eye(4)[:, :2], rule,
+                                             np.ones((4, 1)))):
             with pytest.raises(ValueError, match=re.escape(str(1j * w))):
                 call()
+
+
+class TestTechniqueIReducedPencil:
+    """Technique i's reduced pencil, made from forward solves alone, against
+    the left-factor path it replaced: W = M E V from a forward and an
+    adjoint solve per node (per_shift_projection), then W^T (E V, A V, B)."""
+
+    @pytest.mark.parametrize("model, degree", [("msd", 1), ("msd", 2), ("bpf", 1)])
+    def test_matches_left_factor_projection(self, model, degree):
+        cfg = RunConfig(model=model, degree=degree, technique="i")
+        (_, _, fom), arn, outcome = stabilized_basis(cfg, timings={})
+        rom = outcome.reduced
+        rule = FrequencyRule.gauss(cfg.nodes, omega_scale=cfg.stab_scale)
+        F = sp.identity(fom.n, format="csr")
+        ref = reduce(fom, arn.V, per_shift_projection(fom.E, fom.A, F, arn.V, rule))
+        for got, want in ((rom.E, ref.E), (rom.A, ref.A), (rom.B, ref.B), (rom.C, ref.C)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.array_equal(rom.E, rom.E.T)
+
+    def test_one_forward_solve_per_node(self, monkeypatch):
+        # each complex factorization solves once, forward, for E V and B
+        splu = spla.splu
+        solves = []
+
+        class CountingLU:
+            def __init__(self, lu, complex_shift):
+                self.lu, self.complex_shift = lu, complex_shift
+
+            def __getattr__(self, name):
+                return getattr(self.lu, name)
+
+            def solve(self, rhs, trans="N"):
+                solves.append((self.complex_shift, trans, rhs.shape))
+                return self.lu.solve(rhs, trans=trans)
+
+        monkeypatch.setattr(spla, "splu", lambda K, **options: CountingLU(
+            splu(K, **options), K.dtype.kind == "c"))
+        cfg = RunConfig(model="msd", degree=1, technique="i", with_errors=False)
+        (_, _, fom), _, _ = stabilized_basis(cfg, timings={})
+        nodes = len(FrequencyRule.gauss(cfg.nodes).half()[0])
+        assert {trans for _, trans, _ in solves} == {"N"}
+        assert ([shape for complex_shift, _, shape in solves if complex_shift]
+                == [(fom.n, cfg.r_max + 1)] * nodes)
 
 
 class TestH2Norm:
