@@ -12,7 +12,8 @@ omega_scale * (1 + tan(theta)^2) and the mirror nodes.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+
+from .pce import gauss_legendre
 
 # Adaptive defaults shared by the H2 routines.
 DEFAULT_NODES = 200
@@ -60,7 +61,7 @@ class FrequencyRule:
         folded: a node at zero (odd n_nodes) keeps its single weight."""
         if n_nodes < 2:
             raise ValueError("need at least two nodes")
-        x, w = leggauss(n_nodes)
+        x, w = gauss_legendre(n_nodes)
         half_pi = np.pi / 2
         theta, theta_weights = half_pi * x, half_pi * w
         at_zero = np.isclose(theta, 0.0, atol=1e-14)

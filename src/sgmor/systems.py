@@ -30,12 +30,13 @@ INFINITE_EIG_RTOL = 1e-12
 # and for the chaos Gram matrix of a quadrature rule (galerkin).
 DEFINITENESS_RTOL = 1e-10
 
-# SuperLU options for a complex shifted pencil i w E - A.
+# SuperLU options for a shifted pencil s E - A: every complex shift, and a
+# real one whose diagonal has no zero (_SparsePencil).
 # - permc_spec: the chaos pencil sum_k G_k (x) E_k is nearly structurally
 #   symmetric, for which SuperLU's guide (X. S. Li, ACM TOMS 31, 2005)
 #   recommends a minimum-degree ordering on K^T + K.  Fill per LU drops 3-4x
 #   on MSD degree 2 and 8-9x on MSD degree 3 against the default COLAMD.
-#   _SparsePencil computes it at its first shift only.
+#   _SparsePencil computes it at its first complex shift only.
 # - diag_pivot_thresh and SymmetricMode: pivot on the diagonal of the
 #   symmetrically permuted K, so that the ordering's fill estimate holds.  The
 #   threshold still leaves a zero or tiny diagonal, such as a source-current
@@ -46,10 +47,10 @@ DEFINITENESS_RTOL = 1e-10
 #   arrays grow with n times the panel size.  Factoring a permuted shift
 #   took 1.5 instead of 2.8 ms on MSD degree 2, 3.3 instead of 7.6 ms on
 #   BPF degree 2 and 69 instead of 82 ms on MSD degree 3.
-_COMPLEX_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
-                     panel_size=1, relax=1, options=dict(SymmetricMode=True))
+_SYMMETRIC_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
+                       panel_size=1, relax=1, options=dict(SymmetricMode=True))
 # The same for a pencil already permuted by its saved ordering.
-_REORDERED_SPLU = dict(_COMPLEX_SPLU, permc_spec="NATURAL")
+_REORDERED_SPLU = dict(_SYMMETRIC_SPLU, permc_spec="NATURAL")
 
 # Relative residual target and iteration cap of the GMRES that solves a
 # NodeKronSum pencil.  The node-wise preconditioner takes 6-8 iterations to
@@ -415,14 +416,19 @@ class _SparsePencil:
     """SuperLU factorizations of a sparse pencil s E - A at any shifts.
 
     Called with s, it returns solve as _pencil describes.  A real shift
-    (Arnoldi's) factors s E - A of the caller's E and A with SuperLU's
-    defaults, COLAMD and partial pivoting: BPF degree 2's Krylov basis past
-    order 15 is rounding, and the complex-shift ordering moves those orders'
-    H2 errors by up to 9.3%.  At the first complex shift, E and A are laid
+    (Arnoldi's) factors K = s E - A of the caller's E and A.  When K's
+    diagonal has no zero entry, as on MSD (min |d| / max |d| = 0.68), it
+    takes _SYMMETRIC_SPLU: on MSD degree 3 the fill falls from 2.36M to
+    0.36M and the factorization from ~0.5 s to ~45 ms.  Otherwise it keeps
+    SuperLU's defaults, COLAMD and partial pivoting.  BPF's regularized MNA
+    pencil has exact zeros on its diagonal at the source-current rows, and
+    BPF degree 2's Krylov basis past order 15 is determined by rounding, so
+    another pivot order would move those orders' H2 errors (by up to 9.3%
+    with _SYMMETRIC_SPLU).  At the first complex shift, E and A are laid
     on the union of their patterns, that of |E| + |A|: 0 E - A would drop
     E's entries (7497 nonzeros instead of 8532 on MSD degree 2), and an
     ordering of that pattern would not suit the other shifts.  That shift is
-    factored with _COMPLEX_SPLU, and its column permutation P (the
+    factored with _SYMMETRIC_SPLU, and its column permutation P (the
     minimum-degree ordering, postordered by SuperLU) is applied to E and A
     symmetrically once.  Every later complex shift factors P (s E - A) P^T
     with the ordering "NATURAL" and the same pivot options; its solve
@@ -438,15 +444,16 @@ class _SparsePencil:
     def __call__(self, s):
         singular = _singular(s)
         if np.result_type(s, self.E.dtype, self.A.dtype).kind != "c":
-            lu = _splu(sp.csc_matrix(s * self.E - self.A), singular, {})
-            return _superlu_solver(lu, singular)
+            K = sp.csc_matrix(s * self.E - self.A)
+            options = _SYMMETRIC_SPLU if np.all(K.diagonal()) else {}
+            return _superlu_solver(_splu(K, singular, options), singular)
         if self.Eu is None:
             self._union()
         K = sp.csc_matrix((s * self.Eu - self.Au, self.indices, self.indptr), self.shape)
         if self.perm is not None:
             lu = _splu(K, singular, _REORDERED_SPLU)
             return _superlu_solver(lu, singular, self.perm, self.inv)
-        lu = _splu(K, singular, _COMPLEX_SPLU)
+        lu = _splu(K, singular, _SYMMETRIC_SPLU)
         self._reorder(lu.perm_c)
         return _superlu_solver(lu, singular)
 

@@ -13,6 +13,8 @@ from sgmor import (
     monte_carlo_rule,
 )
 
+from sgmor.pce import gauss_legendre
+
 from _gen import tensor_rule
 
 
@@ -53,6 +55,14 @@ class TestDistribution:
         xi, w = Distribution.gaussian(0.0, 1.0).gauss_points(6)
         assert_allclose(w @ xi ** 2, 1.0, rtol=1e-13)
         assert_allclose(w @ xi ** 4, 3.0, rtol=1e-13)
+
+    def test_gauss_legendre_computed_once_and_shared_read_only(self):
+        x, w = gauss_legendre(200)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(200)
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+        assert gauss_legendre(200)[0] is x
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
 
     def test_sample_bounds_and_reproducibility(self):
         d = Distribution.uniform(2.0, 4.0)

@@ -541,9 +541,9 @@ class TestNodeWisePreconditioner:
 
 def per_shift_solver(E, A, s):
     """The reference for _SparsePencil: every shift ordered and factored anew
-    by _COMPLEX_SPLU, with no saved ordering and no union pattern."""
+    by _SYMMETRIC_SPLU, with no saved ordering and no union pattern."""
     K = s * sp.csc_matrix(E, dtype=complex) - sp.csc_matrix(A, dtype=complex)
-    lu = spla.splu(K.tocsc(), **sgmor.systems._COMPLEX_SPLU)
+    lu = spla.splu(K.tocsc(), **sgmor.systems._SYMMETRIC_SPLU)
     return lambda rhs, adjoint=False: lu.solve(rhs, trans="H" if adjoint else "N")
 
 
@@ -584,10 +584,13 @@ class TestSparsePencil:
         H, H_ref = transfer_on_grid(fom, omegas), per_shift_transfer(fom, omegas)
         assert_allclose(H, H_ref, rtol=1e-12, atol=1e-12 * np.abs(H_ref).max())
         F = sp.identity(fom.n, format="csr")
-        # with X = I the third product is W^T
-        W = freq_projection(fom.E, fom.A, F, V, rule, F)[2].T
-        W_ref = per_shift_projection(fom.E, fom.A, F, V, rule)
-        assert_allclose(W, W_ref, rtol=1e-12, atol=1e-12 * np.abs(W_ref).max())
+        # the third product is W^T X: X = I reads W^T itself on BPF degree 1,
+        # and a few random columns pin it on MSD degree 2 at a fraction of
+        # the 1710 right-hand sides per node that X = I would cost
+        X = F if model == "bpf" else np.random.default_rng(41).standard_normal((fom.n, 3))
+        WX = freq_projection(fom.E, fom.A, F, V, rule, X)[2]
+        WX_ref = per_shift_projection(fom.E, fom.A, F, V, rule).T @ X
+        assert_allclose(WX, WX_ref, rtol=1e-12, atol=1e-12 * np.abs(WX_ref).max())
 
     @pytest.mark.parametrize("n_nodes", [16, 15], ids=["even", "odd"])
     def test_one_ordering_per_call(self, sparse_pencils, monkeypatch, n_nodes):
@@ -614,28 +617,47 @@ class TestSparsePencil:
             assert calls[0] == ("MMD_AT_PLUS_A", union)
             assert {spec for spec, _ in calls[1:]} == {"NATURAL"}
 
-    def test_real_shift_keeps_superlu_defaults(self, sparse_pencils, monkeypatch):
-        # Arnoldi's one real shift is factored with SuperLU's default ordering
-        cfg, fom, _ = sparse_pencils["msd"]
+    def test_real_shift_ordering_follows_the_diagonal(self, sparse_pencils, monkeypatch):
+        # a real shift (Arnoldi's) takes the minimum-degree ordering when the
+        # diagonal of K = s E - A has no zero, as on MSD, and SuperLU's
+        # defaults otherwise, as on BPF with its zero source-current rows
         splu = spla.splu
         calls = []
 
         def counting_splu(K, **options):
-            calls.append(options)
+            calls.append(options.get("permc_spec"))
             return splu(K, **options)
 
         monkeypatch.setattr(spla, "splu", counting_splu)
-        arnoldi(fom.E, fom.A, fom.B, cfg.expansion_point, 3)
-        assert len(calls) == 1 and "permc_spec" not in calls[0]
-        # a real shift after a complex one, whose ordering has permuted the
-        # pencil's data, still solves the caller's s E - A
         rng = np.random.default_rng(39)
+        for model, spec in (("msd", "MMD_AT_PLUS_A"), ("bpf", None)):
+            cfg, fom, _ = sparse_pencils[model]
+            s = cfg.expansion_point
+            K = sp.csc_matrix(s * fom.E - fom.A)
+            rhs = rng.standard_normal((fom.n, 2))
+            calls.clear()
+            x = shifted_solver(fom.E, fom.A, s)(rhs)
+            assert calls == [spec]
+            if spec is None:  # BPF's pivots are the defaults' to the bit
+                assert np.array_equal(x, splu(K).solve(rhs))
+            else:
+                x_ref = np.linalg.solve(K.toarray(), rhs)
+                assert_allclose(x, x_ref, rtol=1e-12, atol=1e-12 * np.abs(x_ref).max())
+        # one zeroed diagonal entry keeps the defaults, and a real shift after
+        # a complex one, whose ordering has permuted the pencil's data,
+        # still solves the caller's s E - A
         E, A = random_stable_sparse(rng, 15)
+        A = A.tolil()
+        A[3, 3] = 0.7 * E[3, 3]
+        A = A.tocsr()
+        assert (0.7 * E - A).diagonal()[3] == 0.0
         rhs = rng.standard_normal((15, 2))
         solver = sgmor.systems._pencil(E, A)
-        for s in (0.4 + 1.3j, 0.7):
+        for s, spec in ((0.4 + 1.3j, "MMD_AT_PLUS_A"), (0.7, None)):
             K = s * E.toarray() - A.toarray()
+            calls.clear()
             solve = solver(s)
+            assert calls == [spec]
             assert_allclose(solve(rhs), np.linalg.solve(K, rhs), rtol=1e-12)
 
     def test_singular_later_shift_names_it(self):
