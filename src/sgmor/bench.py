@@ -23,7 +23,7 @@ import numpy as np
 
 from .frequency import DEFAULT_NODES, FrequencyRule
 from .galerkin import assemble
-from .mor import arnoldi, stability_sweep
+from .mor import arnoldi, reduce, stability_sweep
 from .pce import Distribution, build_basis, monte_carlo_rule
 from .stabilize import (DEFAULT_BETA, regularize_affine, technique_i,
                         technique_ii, technique_iii)
@@ -399,20 +399,19 @@ def run_experiment(cfg: RunConfig) -> dict:
     timings = {}
     (aps, basis, projected), arn, outcome = stabilized_basis(cfg, timings)
 
-    fom, error_reference = projected, None
-    if outcome is not None and outcome.transformed is not None:
-        fom, error_reference = outcome.transformed, projected
-    # technique i hands over its reduced system of order r_max, not a factor
-    swept = arn.V if outcome is None or outcome.reduced is None else outcome.reduced
-    W = None if outcome is None else outcome.W
     diag = {} if outcome is None else outcome.diagnostics
 
     freq_rule = None
     if cfg.with_errors:
         freq_rule = FrequencyRule.gauss(cfg.error_nodes, omega_scale=cfg.omega_scale)
     t0 = time.perf_counter()
-    report = stability_sweep(fom, swept, W_full=W, freq_rule=freq_rule,
-                             error_reference=error_reference)
+    if outcome is None or outcome.reduced is None:
+        # techniques none and ii: the one-sided reduction of the system
+        # that Arnoldi ran on
+        rom = reduce(projected if outcome is None else outcome.transformed, arn.V)
+    else:
+        rom = outcome.reduced
+    report = stability_sweep(projected, rom, freq_rule=freq_rule)
     timings["sweep"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
 

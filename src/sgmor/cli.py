@@ -15,7 +15,7 @@ from .bench import (MODEL_FIELDS, MODELS, RunConfig, project, run_experiment,
                     stabilized_basis)
 from .frequency import DEFAULT_NODES, FrequencyRule
 from .mmio import load_system, save_system
-from .mor import arnoldi, h2_relative_error, stability_sweep
+from .mor import arnoldi, h2_relative_error, reduce, stability_sweep
 
 
 def _run_fields(args) -> dict:
@@ -101,7 +101,7 @@ def _cmd_reduce(args) -> int:
     rule = None
     if getattr(args, "with_errors", RunConfig.with_errors):
         rule = _error_rule(args, extra)
-    report = stability_sweep(sys_full, arn.V, freq_rule=rule)
+    report = stability_sweep(sys_full, reduce(sys_full, arn.V), freq_rule=rule)
     report.to_csv(out_dir / "sweep.csv")
     print(f"Krylov basis of rank {arn.rank}"
           + (" (breakdown)" if arn.breakdown else ""))
@@ -117,19 +117,13 @@ def _cmd_stabilize(args) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     np.savetxt(out_dir / "V.txt", arn.V)
-    if outcome.reduced is not None:
-        # technique i's product is the reduced system itself, not a factor
-        save_system(outcome.reduced, out_dir, extra={"kind": "reduced"})
-        written = "V.txt, the reduced system (system.json, E/A/B/C.mtx)"
-    else:
-        np.savetxt(out_dir / "W.txt", outcome.W)
-        written = "V.txt, W.txt"
+    save_system(outcome.reduced, out_dir, extra={"kind": "reduced"})
     with open(out_dir / "diagnostics.json", "w") as fh:
         json.dump({"technique": outcome.technique, **outcome.diagnostics},
                   fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
-    print(f"technique {outcome.technique}: wrote {written}, diagnostics.json "
-          f"to {out_dir}")
+    print(f"technique {outcome.technique}: wrote V.txt, the reduced system "
+          f"(system.json, E/A/B/C.mtx), diagnostics.json to {out_dir}")
     return 0
 
 
@@ -175,9 +169,8 @@ def main(argv=None) -> int:
     p_red.add_argument("--out", type=str, required=True)
     p_red.set_defaults(func=_cmd_reduce)
 
-    p_st = sub.add_parser("stabilize", help="compute a stabilizing left factor "
-                          "(iii) or stabilized reduced system (i)",
-                          **omitted)
+    p_st = sub.add_parser("stabilize", help="compute the stabilized reduced "
+                          "system (techniques i and iii)", **omitted)
     p_st.add_argument("--model", choices=list(MODELS), required=True)
     p_st.add_argument("--degree", type=int)
     p_st.add_argument("--technique", choices=["i", "iii"], default="i")

@@ -2,10 +2,10 @@
 
 One-sided Arnoldi builds an orthonormal basis of the moment-matching Krylov
 space at an expansion point; Petrov-Galerkin projection with an optional
-separate left factor produces the reduced matrices.  A sweep driver reduces
-at increasing orders, classifies stability of every reduced pencil, and
-optionally attaches relative H2 errors (h2_relative_error's code path),
-emitting a CSV-ready report.
+separate left factor produces the reduced matrices.  A sweep takes one
+reduced system of the largest order, classifies the stability of the
+pencil of each of its leading blocks, and optionally attaches relative H2
+errors (h2_relative_error's code path), emitting a CSV-ready report.
 """
 
 import csv
@@ -122,7 +122,7 @@ class StabilityReport:
 
     @property
     def failed_orders(self):
-        """Orders whose reduction or evaluation raised; the note says why."""
+        """Orders whose spectrum or error evaluation raised; the note says why."""
         return [row.r for row in self.rows if row.note is not None]
 
     def to_csv(self, path=None):
@@ -166,64 +166,36 @@ def h2_relative_error(fom: LTISystem, rom: LTISystem,
     return _relative_error_fn(fom, rule, rom)(rom)
 
 
-def stability_sweep(fom: LTISystem, projection, W_full=None,
-                    freq_rule: FrequencyRule | None = None,
-                    error_reference: LTISystem | None = None) -> StabilityReport:
-    """Reduce at every order r = 1..r_max; classify stability.
+def stability_sweep(fom: LTISystem, rom: LTISystem,
+                    freq_rule: FrequencyRule | None = None) -> StabilityReport:
+    """Classify the stability of every order r = 1..rom.n of one reduction.
 
-    projection is either the n x r_max basis V_full, which is projected
-    once, with the left factor W_full (V_full by default), or the reduced
-    system of order r_max itself (technique i's).  The model of order r is
-    that system's leading block E[:r, :r], A[:r, :r], B[:r], C[:, :r],
-    which is exactly the projection onto the first r columns.
+    rom is the reduced system of the largest order; the model of order r is
+    its leading block E[:r, :r], A[:r, :r], B[:r], C[:, :r], which is
+    exactly the projection onto the first r columns of its bases.
 
-    With freq_rule given, relative H2 errors are computed on that shared grid
-    against error_reference (the reduction target fom by default; pass the
-    untransformed system when fom was re-assembled by a transformation).
-    An error_reference whose input or output count differs from fom's raises
-    ValueError before any order is reduced; without freq_rule it is unused.
-    The reference transfer function is evaluated once; each order's is one
-    transfer_on_grid call, which solves all grid points in one stacked call.
+    With freq_rule given, relative H2 errors are computed on that shared
+    grid against fom, the projected system (it is read only then); an
+    input or output count that differs from rom's raises ValueError before
+    any order is classified.  The reference transfer function is evaluated
+    once; each order's is one transfer_on_grid call, which solves all grid
+    points in one stacked call.
 
-    A failure of the full projection fails every row.  A failure at one
-    order (its QZ, or a singular reduced pencil on the grid) is recorded in
-    that row's note and the sweep continues.  Failed rows are listed in
-    failed_orders, not in unstable_orders.
+    A failure at one order (its QZ, or a singular reduced pencil on the
+    grid) is recorded in that row's note and the sweep continues.  Failed
+    rows are listed in failed_orders, not in unstable_orders.
     """
-    error = None
-    if freq_rule is not None:
-        reference = fom if error_reference is None else error_reference
-        error = _relative_error_fn(reference, freq_rule, fom)
-
-    def failed(r, exc):
-        return SweepRow(r=r, stable=False, abscissa=float("nan"),
-                        rel_h2_error=None, note=str(exc))
-
-    if isinstance(projection, LTISystem):
-        if W_full is not None:
-            raise ValueError("a reduced system takes no left factor")
-        full = projection
-    else:
-        V_full = np.atleast_2d(np.asarray(projection, dtype=float))
-        if W_full is not None:
-            W_full = np.atleast_2d(np.asarray(W_full, dtype=float))
-            if W_full.shape != V_full.shape:
-                raise ValueError("W must have the same shape as V")
-        try:
-            full = reduce(fom, V_full, W_full)
-        except Exception as exc:
-            return StabilityReport(rows=[failed(r, exc)
-                                         for r in range(1, V_full.shape[1] + 1)])
-
+    error = None if freq_rule is None else _relative_error_fn(fom, freq_rule, rom)
     rows = []
-    for r in range(1, full.n + 1):
+    for r in range(1, rom.n + 1):
         try:
-            rom = LTISystem(E=full.E[:r, :r], A=full.A[:r, :r], B=full.B[:r],
-                            C=full.C[:, :r])
-            spectrum = pencil_spectrum(rom.E, rom.A)
+            lead = LTISystem(E=rom.E[:r, :r], A=rom.A[:r, :r], B=rom.B[:r],
+                             C=rom.C[:, :r])
+            spectrum = pencil_spectrum(lead.E, lead.A)
             stable = bool(spectrum.abscissa < 0)
             rows.append(SweepRow(r=r, stable=stable, abscissa=float(spectrum.abscissa),
-                                 rel_h2_error=None if error is None else error(rom)))
+                                 rel_h2_error=None if error is None else error(lead)))
         except Exception as exc:
-            rows.append(failed(r, exc))
+            rows.append(SweepRow(r=r, stable=False, abscissa=float("nan"),
+                                 rel_h2_error=None, note=str(exc)))
     return StabilityReport(rows=rows)

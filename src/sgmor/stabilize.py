@@ -23,13 +23,13 @@ differential-algebraic system into a nearby ordinary one.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .frequency import FrequencyRule
 from .galerkin import assemble_output, assemble_via_quadrature
 from .lyapunov import freq_projection, solve_lyap_direct
+from .mor import reduce
 from .pce import PCBasis, QuadratureRule
 from .systems import AffineParamSystem, LTISystem, _affine_sum, _as_columns, eval_at
 
@@ -79,21 +79,19 @@ def regularize_affine(aps: AffineParamSystem, beta: float = DEFAULT_BETA) -> Aff
 class StabilizationOutcome:
     """Result of one stabilizing transformation.
 
-    Exactly one of W (a replacement left-projection factor, technique iii),
-    transformed (a re-assembled projected system, technique ii) and reduced
-    (the stabilized reduced system of the basis's full order, technique i)
-    is set.
+    Exactly one of transformed (a re-assembled projected system, technique
+    ii) and reduced (the stabilized reduced system of the basis's full
+    order, techniques i and iii) is set.
     """
 
     technique: str
-    W: np.ndarray | None = None
     transformed: LTISystem | None = None
     reduced: LTISystem | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if sum(x is not None for x in (self.W, self.transformed, self.reduced)) != 1:
-            raise ValueError("exactly one of W, transformed and reduced must be set")
+        if (self.transformed is None) == (self.reduced is None):
+            raise ValueError("exactly one of transformed and reduced must be set")
 
 
 def technique_i(fom: LTISystem, V, rule: FrequencyRule) -> StabilizationOutcome:
@@ -164,14 +162,16 @@ def _block_count(fom: LTISystem, n: int) -> int:
 
 
 def technique_iii(fom: LTISystem, aps: AffineParamSystem, V, F=None) -> StabilizationOutcome:
-    """Blockwise left factor from one Lyapunov solution at a reference point.
+    """The reduced system W^T (E V, A V, B) with output C V, for the
+    blockwise left factor W of one Lyapunov solution at a reference point.
 
     fom is the projection of aps; its m = fom.n / aps.n chaos blocks share
     M*.  W = (I (x) M*) E V with M* solving the Lyapunov equation, F = I
     unless given, of the realization at the parameter means mu_star.  The
-    diagnostics report mu_star and the margin lambda_max(E^T (I (x) M*) A
-    + transpose); a negative margin certifies that every reduction from
-    (W, V) is stable.
+    reduced system has the order r of V; its leading blocks are the
+    reductions onto V's leading columns.  The diagnostics report mu_star
+    and the margin lambda_max(E^T (I (x) M*) A + transpose); a negative
+    margin certifies that every reduction from (W, V) is stable.
     """
     mu_star = aps.nominal()
     n = aps.n
@@ -189,7 +189,7 @@ def technique_iii(fom: LTISystem, aps: AffineParamSystem, V, F=None) -> Stabiliz
 
     margin = _technique_iii_margin(fom, M_star)
     return StabilizationOutcome(
-        technique="iii", W=W,
+        technique="iii", reduced=reduce(fom, V, W),
         diagnostics={"margin": margin, "mu_star": mu_star.tolist()})
 
 
@@ -202,8 +202,8 @@ def _technique_iii_margin(fom: LTISystem, M_star: np.ndarray) -> float:
     A_s = sp.csr_matrix(fom.A)
     T = (E_s.T @ M_big) @ A_s
     S = (T + T.T).tocsc()
-    if fom.n < 2000:
-        return float(sla.eigvalsh(S.toarray())[-1])
+    if fom.n == 1:  # ARPACK needs k < n
+        return float(S[0, 0])
     # a fixed start vector makes ARPACK, and so the margin, reproducible
     val = spla.eigsh(S, k=1, which="LA", v0=np.ones(fom.n),
                      return_eigenvectors=False)

@@ -104,13 +104,11 @@ class NodeKronSum:
     block is, per chunk of nodes whose n x r blocks fit in _CHUNK_BYTES,
     one GEMM with S, batched n x n products, the weights and one GEMM with
     S^T added to the result.  A complex block meets the real S, and a real X,
-    in real GEMMs (_real_matmul).  Scalar multiples and differences of two
-    operators on the same S and w stay operators, so s E - A is one too;
-    its GMRES is preconditioned node by node, with the inverses of its X_k
+    in real GEMMs (_real_matmul).  For E and A on the same S and w, s E - A
+    is the operator on the node matrices s X_E - X_A (_pencil); its GMRES is
+    preconditioned node by node, with the inverses of its X_k
     (_node_sum_solver).
     """
-
-    __array_ufunc__ = None  # numpy scalars defer to __rmul__
 
     def __init__(self, S, w, X):
         self.S, self.w, self.X = S, w, X
@@ -144,20 +142,6 @@ class NodeKronSum:
             else:
                 out += part
         return out.reshape(V.shape)
-
-    def __mul__(self, c):
-        if not np.isscalar(c):
-            return NotImplemented
-        return NodeKronSum(self.S, self.w, c * self.X)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        if not isinstance(other, NodeKronSum):
-            return NotImplemented
-        if other.S is not self.S or other.w is not self.w:
-            raise ValueError("operators on different nodes or weights")
-        return NodeKronSum(self.S, self.w, self.X - other.X)
 
     def toarray(self) -> np.ndarray:
         return self @ np.eye(self.shape[0], dtype=self.dtype)
@@ -401,12 +385,16 @@ def _pencil(E, A):
     the chaos Gram matrix, is formed here.  A singular K, a Gram matrix that
     fails the test of assemble_via_quadrature (_definite_gram), a singular
     node matrix of a NodeKronSum K, a non-finite solution or GMRES that
-    misses _GMRES_RTOL raises ValueError naming s.
+    misses _GMRES_RTOL raises ValueError naming s; a NodeKronSum E whose A
+    is not one on the same S and w raises ValueError at once.
     """
     if isinstance(E, NodeKronSum):
+        if not isinstance(A, NodeKronSum) or A.S is not E.S or A.w is not E.w:
+            raise ValueError("operators on different nodes or weights")
         G = E.S.T @ (E.w[:, None] * E.S)
         SG = E.S @ np.linalg.inv(G) if _definite_gram(np.linalg.eigvalsh(G)) else None
-        return lambda s: _node_sum_solver(s * E - A, SG, _singular(s))
+        return lambda s: _node_sum_solver(NodeKronSum(E.S, E.w, s * E.X - A.X),
+                                          SG, _singular(s))
     if sp.issparse(E) or sp.issparse(A):
         return _SparsePencil(E, A)
     return lambda s: _dense_solver(E, A, s)

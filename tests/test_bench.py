@@ -14,6 +14,7 @@ from sgmor import (
     eval_at,
     is_dissipative,
     pencil_spectrum,
+    reduce,
     regularize_affine,
     run_experiment,
     stability_sweep,
@@ -302,7 +303,7 @@ class TestRunExperiment:
         fom = outcome.transformed
         assert fom.E.nbytes < 2 ** 20
         assert fom.A.nbytes < 2 ** 20
-        report = stability_sweep(fom, arn.V)
+        report = stability_sweep(fom, reduce(fom, arn.V))
         assert len(report.rows) == 30
         assert report.failed_orders == []
         assert all(row.stable for row in report.rows)

@@ -101,9 +101,11 @@ class TestStabilizeCommand:
         code = main(["stabilize", "--model", "msd", "--degree", "0",
                      "--technique", "iii", "--rmax", "3", "--out", str(out)])
         assert code == 0
-        V = np.loadtxt(out / "V.txt")
-        W = np.loadtxt(out / "W.txt")
-        assert V.shape == W.shape == (10, 3)
+        assert np.loadtxt(out / "V.txt").shape == (10, 3)
+        assert not (out / "W.txt").exists()
+        rom, extra = load_system(out)
+        assert extra == {"kind": "reduced"}
+        assert (rom.n, rom.n_in, rom.n_out) == (3, 1, 1)
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["technique"] == "iii"
         assert "margin" in diag

@@ -19,6 +19,7 @@ from sgmor import (
     is_dissipative,
     monte_carlo_rule,
     pencil_spectrum,
+    reduce,
     regularize,
     regularize_affine,
     solve_lyap_direct,
@@ -28,6 +29,7 @@ from sgmor import (
     technique_iii,
     theta_family,
 )
+from sgmor.bench import RunConfig, project
 from sgmor.stabilize import DEFAULT_BETA, _technique_iii_margin
 from sgmor.systems import _affine_sum
 
@@ -226,10 +228,8 @@ class TestOutcome:
         with pytest.raises(ValueError):
             StabilizationOutcome(technique="x")
         with pytest.raises(ValueError):
-            StabilizationOutcome(technique="x", W=np.eye(2),
-                                 transformed="anything")
-        with pytest.raises(ValueError):
-            StabilizationOutcome(technique="x", W=np.eye(2), reduced="anything")
+            StabilizationOutcome(technique="x", transformed="anything",
+                                 reduced="anything")
 
 
 class TestTechniqueI:
@@ -240,7 +240,7 @@ class TestTechniqueI:
         res = arnoldi(fom.E, fom.A, fom.B, r_max=10, s0=1.0)
         out = technique_i(fom, res.V, rule=FrequencyRule.gauss(64))
         assert out.technique == "i"
-        assert out.W is None and out.transformed is None
+        assert out.transformed is None
         assert out.reduced.n == res.V.shape[1]
         assert out.diagnostics["nodes"] == 64
         report = stability_sweep(fom, out.reduced)
@@ -289,7 +289,7 @@ class TestTechniqueII:
         out = technique_ii(aps, basis, monte_carlo_rule(aps.dists, 50, seed=3))
         fom_t = out.transformed
         res = arnoldi(fom_t.E, fom_t.A, fom_t.B, r_max=6, s0=1.0)
-        report = stability_sweep(fom_t, res.V)
+        report = stability_sweep(fom_t, reduce(fom_t, res.V))
         assert all(row.stable for row in report.rows)
 
 
@@ -391,8 +391,25 @@ class TestTechniqueIII:
         res = arnoldi(fom.E, fom.A, fom.B, r_max=8, s0=1.0)
         out = technique_iii(fom, aps, res.V)
         assert out.diagnostics["margin"] < 0
-        report = stability_sweep(fom, res.V, W_full=out.W)
+        report = stability_sweep(fom, out.reduced)
         assert all(row.stable for row in report.rows)
+
+    def test_reduced_system_is_blockwise_projection(self):
+        # out.reduced is the Petrov-Galerkin reduction with W = (I (x) M*) E V
+        rng = np.random.default_rng(58)
+        aps = stable_family(rng, 4, 2)
+        fom = assemble(aps, build_basis(aps.dists, 2))
+        res = arnoldi(fom.E, fom.A, fom.B, r_max=8, s0=1.0)
+        out = technique_iii(fom, aps, res.V)
+        assert out.technique == "iii" and out.transformed is None
+        at_mean = eval_at(aps, aps.nominal())
+        M_star = solve_lyap_direct(at_mean.E, at_mean.A, np.eye(aps.n))
+        m = fom.n // aps.n
+        W = np.kron(np.eye(m), M_star) @ (fom.E @ res.V)
+        ref = reduce(fom, res.V, W)
+        for name in "EABC":
+            got, want = getattr(out.reduced, name), getattr(ref, name)
+            assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
     def test_block_count_must_divide(self):
         # the state dimension of the family (3) does not divide that of a
@@ -408,9 +425,26 @@ class TestTechniqueIII:
         with pytest.raises(ValueError, match="not a multiple"):
             _technique_iii_margin(other, M_star)
 
+    @pytest.mark.parametrize("case", ["msd-1", "bpf-1", "one-state"])
+    def test_margin_matches_dense_eigenvalue(self, case):
+        # ARPACK's largest eigenvalue against a dense eigvalsh of the same
+        # symmetric matrix; the one-state degree-0 system is 1 x 1, which
+        # eigsh refuses
+        if case == "one-state":
+            aps = stable_family(np.random.default_rng(60), 1, 2)
+            fom = assemble(aps, build_basis(aps.dists, 0))
+        else:
+            aps, _, fom = project(RunConfig(model=case[:3], degree=1))
+        at_mean = eval_at(aps, aps.nominal())
+        M_star = solve_lyap_direct(at_mean.E, at_mean.A, np.eye(aps.n))
+        E, A = fom.E.toarray(), fom.A.toarray()
+        T = E.T @ np.kron(np.eye(fom.n // aps.n), M_star) @ A
+        expected = np.linalg.eigvalsh(T + T.T)[-1]
+        assert_allclose(_technique_iii_margin(fom, M_star), expected, rtol=1e-12)
+
     def test_sparse_margin_reproducible(self):
-        # BPF degree 2 (dimension 6900) takes the eigsh branch; ARPACK with
-        # a random start vector differed in the last digits between calls
+        # ARPACK with a random start vector differed in the last digits
+        # between calls on BPF degree 2 (dimension 6900)
         aps = regularize_affine(build_bandpass(), DEFAULT_BETA)
         fom = assemble(aps, build_basis(aps.dists, 2))
         at_mean = eval_at(aps, aps.nominal())

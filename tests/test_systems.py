@@ -405,7 +405,8 @@ class TestNodeKronSumSolver:
         rng = np.random.default_rng(38)
         V = rng.standard_normal((fom.n, 3)) + 1j * rng.standard_normal((fom.n, 3))
         s = 0.9j
-        for op, ref in ((fom.E, dense.E), (s * fom.E - fom.A, s * dense.E - dense.A)):
+        K = NodeKronSum(fom.E.S, fom.E.w, s * fom.E.X - fom.A.X)
+        for op, ref in ((fom.E, dense.E), (K, s * dense.E - dense.A)):
             for block in (V, V[:, 0], np.asfortranarray(V)):
                 assert_allclose(op @ block, ref @ block, rtol=1e-13,
                                 atol=1e-13 * np.abs(ref).max() * np.abs(block).max())
@@ -437,9 +438,16 @@ class TestNodeKronSumSolver:
         X = fom.A.X.copy()
         X[3] = 0.0
         A = NodeKronSum(fom.A.S, fom.A.w, X)
+        E = NodeKronSum(fom.A.S, fom.A.w, 0.0 * X)
         s = cfg.expansion_point
         with pytest.raises(ValueError, match=re.escape(str(s))):
-            shifted_solver(0.0 * A, A, s)
+            shifted_solver(E, A, s)
+
+    def test_operators_on_different_nodes_refused(self, msd1_technique_ii):
+        _, fom, _ = msd1_technique_ii
+        A = NodeKronSum(fom.A.S.copy(), fom.A.w, fom.A.X)
+        with pytest.raises(ValueError, match="different nodes or weights"):
+            shifted_solver(fom.E, A, 0.5)
 
     def test_singular_gram_matrix_names_the_shift(self, msd1_technique_ii, monkeypatch):
         # One node at the parameter means, where every degree-1 chaos
