@@ -16,6 +16,7 @@ from .bench import (MODEL_FIELDS, MODELS, RunConfig, project, run_experiment,
 from .frequency import DEFAULT_NODES, FrequencyRule
 from .mmio import load_system, save_system
 from .mor import arnoldi, h2_relative_error, reduce, stability_sweep
+from .systems import _scipy_blas_serial
 
 
 def _run_fields(args) -> dict:
@@ -192,7 +193,8 @@ def main(argv=None) -> int:
     p_h2.set_defaults(func=_cmd_h2error)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    with _scipy_blas_serial():
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -88,9 +88,13 @@ def freq_projection(E, A, F, V, rule: FrequencyRule, X):
     Since A = i w E - K, K^-1 A V = i w Y_V - V, so the node's terms are
     Re Y_V^H F Y_V, Re Y_V^H F (i w Y_V - V) and Re Y_V^H F Y_X.  Their
     r x (r + k) product Y_V^H F Y is one gemm of SciPy's BLAS, the OpenBLAS
-    SuperLU solves with (numpy's @ would start a second BLAS thread pool
-    here).  The part Re Y_V^H F V = Re(Y_V)^T F V is linear in Y_V, so the
-    nodes add up Re Y_V in one n x r sum, which meets F V once at the end.
+    SuperLU solves with, which a pipeline call keeps on one thread
+    (systems._scipy_blas_serial).  Numpy's @ would hand it to NumPy's own
+    OpenBLAS, which keeps its threads: on a 2-core machine that library's
+    second thread then used 0.36-0.39 instead of 0.14 CPU-s of an MSD
+    degree 2 technique-i call.  The part Re Y_V^H F V = Re(Y_V)^T F V is
+    linear in Y_V, so the nodes add up Re Y_V in one n x r sum, which meets
+    F V once at the end.
     A sparse pencil is ordered once, at the first node.  The first result
     is symmetrized, so it is exactly symmetric; with X = I the third is W^T
     for W = M E V.  The pencil (E, A) must be asymptotically stable with

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from sgmor.bench import (
     MSD_VARIATION,
     stabilized_basis,
 )
+from sgmor.cli import main
+from sgmor.frequency import FrequencyRule
 
 from _gen import transfer_eval
 
@@ -350,3 +353,93 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result["dimension"] == 10
         assert result["blocks"] == 1
+
+
+def assert_same_rows(rows, reference):
+    """Two lists of sweep rows as run_experiment reports them: flags and
+    notes equal, abscissas and H2 errors to 1e-12 relative."""
+    assert len(rows) == len(reference)
+    for row, ref in zip(rows, reference):
+        assert {k: row[k] for k in ("r", "stable", "note")} == \
+            {k: ref[k] for k in ("r", "stable", "note")}
+        assert_allclose(row["abscissa"], ref["abscissa"], rtol=1e-12, atol=0)
+        if ref["rel_h2_error"] is None:
+            assert row["rel_h2_error"] is None
+        else:
+            assert_allclose(row["rel_h2_error"], ref["rel_h2_error"],
+                            rtol=1e-12, atol=0)
+
+
+def uncapped_rows(cfg):
+    """The sweep of cfg built from the pipeline's stages directly, outside
+    run_experiment and so with SciPy's BLAS at its own thread count."""
+    (_, _, fom), arn, outcome = stabilized_basis(cfg, timings={})
+    if outcome is None or outcome.reduced is None:
+        rom = reduce(fom if outcome is None else outcome.transformed, arn.V)
+    else:
+        rom = outcome.reduced
+    rule = FrequencyRule.gauss(cfg.error_nodes, omega_scale=cfg.omega_scale)
+    return [asdict(row) for row in stability_sweep(fom, rom, freq_rule=rule).rows]
+
+
+class TestScipyBlasThreads:
+    """run_experiment and the command line run SciPy's bundled OpenBLAS on
+    one thread and give it back its thread count afterwards."""
+
+    @pytest.fixture
+    def threads(self):
+        blas = sgmor.systems._scipy_openblas()
+        if blas is None:
+            pytest.skip("SciPy links no bundled OpenBLAS with a known "
+                        "thread-count symbol")
+        get, set_ = blas
+        before = get()
+        set_(2)  # a count above one, so that the cap and the restore both show
+        yield get
+        set_(before)
+
+    @pytest.fixture
+    def during(self, threads, monkeypatch):
+        """The thread counts seen each time the pipeline reaches Arnoldi."""
+        seen = []
+        arnoldi = sgmor.bench.arnoldi
+
+        def recording(*args):
+            seen.append(threads())
+            return arnoldi(*args)
+
+        monkeypatch.setattr(sgmor.bench, "arnoldi", recording)
+        return seen
+
+    def test_run_experiment(self, threads, during):
+        run_experiment(RunConfig(model="msd", degree=1, technique="iii", r_max=3,
+                                 with_errors=False))
+        assert during == [1]
+        assert threads() == 2
+
+    def test_command_line(self, threads, during, tmp_path):
+        assert main(["stabilize", "--model", "msd", "--technique", "iii",
+                     "--rmax", "3", "--out", str(tmp_path)]) == 0
+        assert during == [1]
+        assert threads() == 2
+
+    def test_restored_after_a_refusal(self, threads):
+        # 10 samples for the 18 chaos polynomials of degree 1
+        with pytest.raises(ValueError, match="singular chaos Gram matrix"):
+            run_experiment(RunConfig(model="msd", degree=1, technique="ii",
+                                     quad_nodes=10, with_errors=False))
+        assert threads() == 2
+
+    def test_without_a_bundled_library(self, monkeypatch):
+        cfg = RunConfig(model="msd", degree=1, technique="i", r_max=10)
+        rows = run_experiment(cfg)["rows"]
+        monkeypatch.setattr(sgmor.systems, "_scipy_openblas", lambda: None)
+        assert_same_rows(run_experiment(cfg)["rows"], rows)
+
+    @pytest.mark.parametrize("model, degree, technique", [
+        *[("msd", d, t) for d in (1, 2) for t in ("none", "i", "ii", "iii")],
+        ("bpf", 1, "iii"),
+    ])
+    def test_rows_match_the_uncapped_stages(self, model, degree, technique):
+        cfg = RunConfig(model=model, degree=degree, technique=technique)
+        assert_same_rows(run_experiment(cfg)["rows"], uncapped_rows(cfg))
