@@ -6,6 +6,7 @@ import numpy as np
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
+import sgmor.mor
 from sgmor import (
     Distribution,
     FrequencyRule,
@@ -279,9 +280,14 @@ def test_criterion_9_determinism(tmp_path):
     ]
     ok = True
     for i, base in enumerate(configs):
-        run_experiment(RunConfig(**base, out=str(tmp_path / f"a{i}")))
-        run_experiment(RunConfig(**base, out=str(tmp_path / f"b{i}")))
-        first = (tmp_path / f"a{i}" / "sweep.csv").read_bytes()
-        second = (tmp_path / f"b{i}" / "sweep.csv").read_bytes()
-        ok = ok and first == second
-    _report(9, "determinism", ok, f"{len(configs)} configs byte-identical")
+        # two cold runs, each evaluating its own error reference, then a
+        # warm one that reuses the second run's
+        for run in ("a", "b", "warm"):
+            if run != "warm":
+                sgmor.mor._reference_cache.clear()
+            run_experiment(RunConfig(**base, out=str(tmp_path / f"{run}{i}")))
+        first, second, warm = ((tmp_path / f"{run}{i}" / "sweep.csv").read_bytes()
+                               for run in ("a", "b", "warm"))
+        ok = ok and first == second == warm
+    _report(9, "determinism", ok,
+            f"{len(configs)} configs byte-identical, cold and warm")

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import sgmor.bench
+import sgmor.mor
 import sgmor.systems
 from sgmor import (
     RunConfig,
@@ -347,6 +348,49 @@ class TestRunExperiment:
         assert orderings.count("MMD_AT_PLUS_A") == 3
         assert orderings.count("NATURAL") == 130
 
+    def test_warm_error_reference_factorization_count(self, monkeypatch):
+        # a second run on the same projected system and error grid, at
+        # another expansion point, reuses the grid's reference values: only
+        # Arnoldi's real shift and technique i's 32 nodes are factored
+        cfg = dict(model="msd", degree=1, technique="i", nodes=64, error_nodes=200)
+        run_experiment(RunConfig(**cfg))
+        splu = spla.splu
+        orderings = []
+
+        def counting_splu(K, **options):
+            orderings.append(options.get("permc_spec"))
+            return splu(K, **options)
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        warm = run_experiment(RunConfig(**cfg, expansion_point=0.9))["rows"]
+        assert len(orderings) == 33
+        assert orderings.count("MMD_AT_PLUS_A") == 2
+        assert orderings.count("NATURAL") == 31
+        sgmor.mor._reference_cache.clear()
+        assert run_experiment(RunConfig(**cfg, expansion_point=0.9))["rows"] == warm
+
+    def test_error_reference_follows_the_configuration(self, monkeypatch):
+        # a run that changes the projected system or the error grid
+        # evaluates its own reference; a new expansion point does not
+        references = []
+        transfer_on_grid = sgmor.mor.transfer_on_grid
+
+        def spy(sys, omegas):
+            if sys.n > 4:  # the reduced models have order r_max = 4
+                references.append(sys.n)
+            return transfer_on_grid(sys, omegas)
+
+        monkeypatch.setattr(sgmor.mor, "transfer_on_grid", spy)
+        base = dict(model="msd", degree=1, technique="none", r_max=4, error_nodes=40)
+        run_experiment(RunConfig(**base))
+        run_experiment(RunConfig(**base, expansion_point=0.9))
+        assert references == [180]
+        for change in (dict(error_nodes=60), dict(omega_scale=2.0), dict(degree=0),
+                       dict(beta=1e-5)):
+            del references[:]
+            run_experiment(RunConfig(**{**base, **change}))
+            assert references == [10 if change.get("degree") == 0 else 180], change
+
     def test_degree_zero_collapses_to_mean_system(self):
         cfg = RunConfig(model="msd", degree=0, technique="none", r_max=3,
                         with_errors=False)
@@ -374,6 +418,7 @@ def uncapped_rows(cfg):
     """The sweep of cfg built from the pipeline's stages directly, outside
     run_experiment and so with SciPy's BLAS at its own thread count."""
     (_, _, fom), arn, outcome = stabilized_basis(cfg, timings={})
+    sgmor.mor._reference_cache.clear()  # the reference too, uncapped
     if outcome is None or outcome.reduced is None:
         rom = reduce(fom if outcome is None else outcome.transformed, arn.V)
     else:
@@ -434,6 +479,7 @@ class TestScipyBlasThreads:
         cfg = RunConfig(model="msd", degree=1, technique="i", r_max=10)
         rows = run_experiment(cfg)["rows"]
         monkeypatch.setattr(sgmor.systems, "_scipy_openblas", lambda: None)
+        sgmor.mor._reference_cache.clear()
         assert_same_rows(run_experiment(cfg)["rows"], rows)
 
     @pytest.mark.parametrize("model, degree, technique", [

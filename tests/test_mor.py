@@ -1,12 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+import sgmor.mor
 from sgmor import (
     FrequencyRule,
     LTISystem,
     arnoldi,
+    h2_relative_error,
     pencil_spectrum,
     reduce,
     stability_sweep,
@@ -249,6 +253,127 @@ class TestStabilitySweep:
         report = stability_sweep(fom_stable, reduce(fom_stable, np.eye(2)))
         assert report.n_stable == 2
         assert report.unstable_orders == []
+
+
+class TestErrorReferenceCache:
+    """The full-order side of the H2 errors is evaluated once per distinct
+    (system, rule) in a process and reused from sgmor.mor's cache."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """The systems whose transfer values mor computes, full and reduced."""
+        seen = []
+        transfer_on_grid = sgmor.mor.transfer_on_grid
+
+        def spy(sys, omegas):
+            seen.append(sys)
+            return transfer_on_grid(sys, omegas)
+
+        monkeypatch.setattr(sgmor.mor, "transfer_on_grid", spy)
+        return seen
+
+    @pytest.fixture
+    def sparse_case(self):
+        rng = np.random.default_rng(81)
+        E, A = random_stable_sparse(rng, 30)
+        fom = LTISystem(E=E, A=A, B=rng.standard_normal((30, 1)),
+                        C=sp.csr_matrix(rng.standard_normal((2, 30))))
+        rom = reduce(fom, arnoldi(fom.E, fom.A, fom.B, s0=0.5, r_max=6).V)
+        return fom, rom
+
+    def test_second_sweep_reuses_the_reference(self, sparse_case, evaluations):
+        fom, rom = sparse_case
+        rule = FrequencyRule.gauss(40)
+        cold = stability_sweep(fom, rom, freq_rule=rule)
+        # a copy with equal contents is the same reference
+        copy = LTISystem(E=fom.E.copy(), A=fom.A.copy(), B=fom.B.copy(),
+                         C=fom.C.copy())
+        warm = stability_sweep(copy, rom, freq_rule=rule)
+        # h2_relative_error shares the cache with the sweep
+        assert h2_relative_error(copy, rom, rule) == cold.rows[-1].rel_h2_error
+        assert [sys.n for sys in evaluations].count(fom.n) == 1
+        assert warm.rows == cold.rows
+
+    def test_entries_are_read_only(self, sparse_case):
+        fom, rom = sparse_case
+        stability_sweep(fom, rom, freq_rule=FrequencyRule.gauss(40))
+        (ref_vals, den), = sgmor.mor._reference_cache.values()
+        assert not ref_vals.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ref_vals[0] = 0.0
+        assert den > 0
+
+    def test_changed_system_or_rule_misses(self, sparse_case, evaluations):
+        fom, rom = sparse_case
+        rule = FrequencyRule.gauss(40)
+        stability_sweep(fom, rom, freq_rule=rule)
+        E = fom.E.copy()
+        E.data[0] = np.nextafter(E.data[0], np.inf)  # one entry, one ulp
+        changed = LTISystem(E=E, A=fom.A, B=fom.B, C=fom.C)
+        others = (
+            (changed, rule),
+            (fom, FrequencyRule.gauss(41)),
+            (fom, FrequencyRule.gauss(40, omega_scale=2.0)),
+            # the same operator in another container: dense E and A
+            (LTISystem(E=fom.E.toarray(), A=fom.A.toarray(), B=fom.B, C=fom.C), rule),
+        )
+        for reference, other_rule in others:
+            before = len(evaluations)
+            stability_sweep(reference, rom, freq_rule=other_rule)
+            assert evaluations[before] is reference
+
+    def test_oldest_entry_evicted_at_the_bound(self, sparse_case, evaluations):
+        fom, rom = sparse_case
+        bound = sgmor.mor._REFERENCE_CACHE_SIZE
+        rules = [FrequencyRule.gauss(20 + j) for j in range(bound + 1)]
+        for rule in rules:
+            stability_sweep(fom, rom, freq_rule=rule)
+        assert len(sgmor.mor._reference_cache) == bound
+
+        def full_evaluations():
+            return sum(sys is fom for sys in evaluations)
+
+        stability_sweep(fom, rom, freq_rule=rules[-1])  # newest: kept
+        assert full_evaluations() == bound + 1
+        stability_sweep(fom, rom, freq_rule=rules[0])  # oldest: evicted
+        assert full_evaluations() == bound + 2
+
+    def test_count_check_runs_first_on_a_hit(self, sparse_case, evaluations):
+        fom, rom = sparse_case
+        rule = FrequencyRule.gauss(40)
+        stability_sweep(fom, rom, freq_rule=rule)
+        one_output = LTISystem(E=rom.E, A=rom.A, B=rom.B, C=rom.C[:1])
+        before = len(evaluations)
+        with pytest.raises(ValueError, match="input/output counts"):
+            stability_sweep(fom, one_output, freq_rule=rule)
+        with pytest.raises(ValueError, match="input/output counts"):
+            h2_relative_error(fom, one_output, rule)
+        assert len(evaluations) == before
+
+    def test_zero_response_refused_on_a_hit(self, evaluations):
+        fom = LTISystem(E=np.eye(3), A=-np.eye(3), B=np.ones((3, 1)),
+                        C=np.zeros((1, 3)))
+        rom = reduce(fom, np.eye(3)[:, :2])
+        rule = FrequencyRule.gauss(20)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="zero response"):
+                stability_sweep(fom, rom, freq_rule=rule)
+        assert evaluations == [fom]
+
+    def test_failed_reference_stores_nothing(self, evaluations):
+        # s E - A is exactly singular at s = i w, the third grid point
+        rule = FrequencyRule.gauss(8)
+        w = rule.half()[0][2]
+        A = sp.block_diag([sp.diags([-1.0, -2.0]), sp.csr_matrix([[0.0, w], [-w, 0.0]])],
+                          format="csr")
+        fom = LTISystem(E=sp.identity(4, format="csr"), A=A, B=np.ones((4, 1)),
+                        C=np.ones((1, 4)))
+        rom = reduce(fom, np.eye(4)[:, :2])
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(str(1j * w))):
+                stability_sweep(fom, rom, freq_rule=rule)
+            assert sgmor.mor._reference_cache == {}
+        assert evaluations == [fom, fom]
 
 
 class TestCsv:
