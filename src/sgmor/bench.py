@@ -14,6 +14,7 @@ stability sweep over reduced orders, and deterministic CSV/JSON reporting.
 
 import json
 import numbers
+import sys
 import time
 import typing
 from dataclasses import asdict, dataclass, fields
@@ -25,8 +26,8 @@ from .frequency import DEFAULT_NODES, FrequencyRule
 from .galerkin import assemble
 from .mor import arnoldi, reduce, stability_sweep
 from .pce import Distribution, build_basis, monte_carlo_rule
-from .stabilize import (DEFAULT_BETA, regularize_affine, technique_i,
-                        technique_ii, technique_iii)
+from .stabilize import (DEFAULT_BETA, StabilizationOutcome, regularize_affine,
+                        technique_i, technique_ii, technique_iii)
 from .systems import AffineParamSystem, _scipy_blas_serial
 
 # Nominal element values of the mass-spring-damper chain.  Frequencies sit
@@ -265,6 +266,7 @@ MODELS = {
                 stab_scale=1.0e6, beta=DEFAULT_BETA),
 }
 MODEL_FIELDS = ("expansion_point", "omega_scale", "stab_scale", "beta")
+TECHNIQUES = ("none", "i", "ii", "iii")
 
 # A field annotated int takes any integral number and one annotated float
 # any real number; a bool, though an int, only a field annotated bool.
@@ -303,8 +305,8 @@ class RunConfig:
                                  f"not {value!r}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {', '.join(MODELS)}")
-        if self.technique not in ("none", "i", "ii", "iii"):
-            raise ValueError("technique must be one of none, i, ii, iii")
+        if self.technique not in TECHNIQUES:
+            raise ValueError(f"technique must be one of {', '.join(TECHNIQUES)}")
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
         if self.r_max < 1:
@@ -313,10 +315,13 @@ class RunConfig:
             raise ValueError("node counts must be at least 2")
         if self.quad_nodes is not None and self.quad_nodes < 1:
             raise ValueError("quad_nodes must be positive")
-        for name in MODEL_FIELDS:
-            if getattr(self, name) is None:
+        for name in MODEL_FIELDS:  # fail now, not after Arnoldi
+            value = getattr(self, name)
+            if value is None:
                 setattr(self, name, MODELS[self.model][name])
-        for name in ("omega_scale", "stab_scale"):  # fail now, not after Arnoldi
+            elif not abs(value) <= sys.float_info.max:  # nan, inf, or past float range
+                raise ValueError(f"config key {name!r} must be finite")
+        for name in ("omega_scale", "stab_scale"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"config key {name!r} must be positive")
 
@@ -346,14 +351,15 @@ def project(cfg: RunConfig):
 
 
 def stabilized_basis(cfg: RunConfig, timings: dict):
-    """Projection, Krylov basis and stabilizing technique of one run.
+    """Projection, Krylov basis and reduced system of one run.
 
     Returns (projection, arn, outcome): project's (aps, basis, fom), the
-    Arnoldi basis of the system that is reduced (the re-assembled one under
-    technique ii), and the StabilizationOutcome, None for technique "none".
-    Technique ii without errors reads nothing of the projected system, so
-    there fom is None and is not assembled.  Wall times of the assemble,
-    arnoldi and stabilize stages go into timings.
+    Arnoldi basis, and the StabilizationOutcome of order arn.rank.  Under
+    none and ii, Arnoldi runs on, and reduce projects one-sidedly, fom or
+    technique ii's re-assembled system; i and iii reduce fom themselves.
+    Technique ii without errors reads nothing of fom, so there it is None
+    and is not assembled.  Wall times of the assemble, arnoldi and
+    stabilize stages (the last one including the reduction) go into timings.
     """
     t0 = time.perf_counter()
     aps, basis = _family(cfg)
@@ -364,23 +370,24 @@ def stabilized_basis(cfg: RunConfig, timings: dict):
     timings["assemble"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    outcome = None
+    system, diagnostics = fom, {}
     if cfg.technique == "ii":
         # m samples for m chaos polynomials can suffice, but over 20 seeds at
         # degree 2 the chaos Gram matrix's lambda_min / lambda_max fell to
         # 1.8e-9 at m samples, 20x from the refusal, and stayed above 2e-2 at 2 m
         n_quad = cfg.quad_nodes or max(100, 2 * basis.m)
         quad = monte_carlo_rule(aps.dists, n_quad, seed=cfg.seed)
-        outcome = technique_ii(aps, basis, quad)
-    reduced = fom if outcome is None else outcome.transformed
+        system, diagnostics = technique_ii(aps, basis, quad), {"nodes": quad.k}
     t1 = time.perf_counter()
-    arn = arnoldi(reduced.E, reduced.A, reduced.B, cfg.expansion_point, cfg.r_max)
+    arn = arnoldi(system.E, system.A, system.B, cfg.expansion_point, cfg.r_max)
     t2 = time.perf_counter()
     if cfg.technique == "i":
         rule = FrequencyRule.gauss(cfg.nodes, omega_scale=cfg.stab_scale)
         outcome = technique_i(fom, arn.V, rule=rule)
     elif cfg.technique == "iii":
         outcome = technique_iii(fom, aps, arn.V)
+    else:
+        outcome = StabilizationOutcome(cfg.technique, reduce(system, arn.V), diagnostics)
     timings["arnoldi"] = t2 - t1
     timings["stabilize"] = (t1 - t0) + (time.perf_counter() - t2)
     return projection, arn, outcome
@@ -390,30 +397,22 @@ def run_experiment(cfg: RunConfig) -> dict:
     """Full pipeline; returns the report dict and optionally writes files.
 
     The CSV rows (order, stability flag, spectral abscissa, relative H2
-    error) are a pure function of the configuration: randomness enters only
-    through the seeded parameter sampling of technique ii, so repeated runs
-    with one seed serialize identically.  Wall-clock timings go only into
-    the JSON report.  The pipeline runs SciPy's BLAS on one thread
-    (systems._scipy_blas_serial).
+    error) sweep stabilized_basis's reduced system against the projected
+    one, whatever the technique.  They are a pure function of the
+    configuration: randomness enters only through the seeded parameter
+    sampling of technique ii, so repeated runs with one seed serialize
+    identically.  Wall-clock timings go only into the JSON report.  The
+    pipeline runs SciPy's BLAS on one thread (systems._scipy_blas_serial).
     """
     t_start = time.perf_counter()
     timings = {}
     with _scipy_blas_serial():
         (aps, basis, projected), arn, outcome = stabilized_basis(cfg, timings)
-
-        diag = {} if outcome is None else outcome.diagnostics
-
         freq_rule = None
         if cfg.with_errors:
             freq_rule = FrequencyRule.gauss(cfg.error_nodes, omega_scale=cfg.omega_scale)
         t0 = time.perf_counter()
-        if outcome is None or outcome.reduced is None:
-            # techniques none and ii: the one-sided reduction of the system
-            # that Arnoldi ran on
-            rom = reduce(projected if outcome is None else outcome.transformed, arn.V)
-        else:
-            rom = outcome.reduced
-        report = stability_sweep(projected, rom, freq_rule=freq_rule)
+        report = stability_sweep(projected, outcome.reduced, freq_rule=freq_rule)
         timings["sweep"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
 
@@ -432,13 +431,9 @@ def run_experiment(cfg: RunConfig) -> dict:
         "n_stable": report.n_stable,
         "unstable_orders": report.unstable_orders,
         "failed_orders": report.failed_orders,
-        "diagnostics": diag,
+        "diagnostics": outcome.diagnostics,
         "timings": timings,
-        "rows": [
-            {"r": row.r, "stable": row.stable, "abscissa": row.abscissa,
-             "rel_h2_error": row.rel_h2_error, "note": row.note}
-            for row in report.rows
-        ],
+        "rows": [asdict(row) for row in report.rows],
     }
 
     if cfg.out is not None:

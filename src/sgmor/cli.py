@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import (MODEL_FIELDS, MODELS, RunConfig, project, run_experiment,
-                    stabilized_basis)
+from .bench import (MODEL_FIELDS, MODELS, TECHNIQUES, RunConfig, project,
+                    run_experiment, stabilized_basis)
 from .frequency import DEFAULT_NODES, FrequencyRule
 from .mmio import load_system, save_system
 from .mor import arnoldi, h2_relative_error, reduce, stability_sweep
@@ -35,7 +35,7 @@ def _error_rule(args, extra: dict) -> FrequencyRule:
 
 def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--degree", type=int, help="chaos total degree")
-    p.add_argument("--technique", choices=["none", "i", "ii", "iii"],
+    p.add_argument("--technique", choices=TECHNIQUES,
                    help="stabilizing transformation")
     p.add_argument("--nodes", type=int, help="frequency nodes for technique i")
     p.add_argument("--quad-nodes", type=int,
@@ -164,8 +164,11 @@ def main(argv=None) -> int:
     p_red.add_argument("--manifest", type=str, required=True)
     p_red.add_argument("--rmax", dest="r_max", type=int)
     p_red.add_argument("--expansion-point", type=float)
-    p_red.add_argument("--nodes", type=int)
-    p_red.add_argument("--omega-scale", type=float)
+    p_red.add_argument("--nodes", type=int,
+                       help=f"error-grid nodes (default {DEFAULT_NODES})")
+    p_red.add_argument("--omega-scale", type=float,
+                       help="error-grid frequency scale (the manifest's "
+                       "recorded one when omitted)")
     p_red.add_argument("--no-errors", dest="with_errors", action="store_false")
     p_red.add_argument("--out", type=str, required=True)
     p_red.set_defaults(func=_cmd_reduce)
@@ -188,8 +191,11 @@ def main(argv=None) -> int:
                           **omitted)
     p_h2.add_argument("--fom", type=str, required=True)
     p_h2.add_argument("--rom", type=str, required=True)
-    p_h2.add_argument("--nodes", type=int)
-    p_h2.add_argument("--omega-scale", type=float)
+    p_h2.add_argument("--nodes", type=int,
+                      help=f"error-grid nodes (default {DEFAULT_NODES})")
+    p_h2.add_argument("--omega-scale", type=float,
+                      help="error-grid frequency scale (the --fom manifest's "
+                      "recorded one when omitted, else 1)")
     p_h2.set_defaults(func=_cmd_h2error)
 
     args = parser.parse_args(argv)

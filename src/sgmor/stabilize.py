@@ -77,21 +77,16 @@ def regularize_affine(aps: AffineParamSystem, beta: float = DEFAULT_BETA) -> Aff
 
 @dataclass(eq=False)
 class StabilizationOutcome:
-    """Result of one stabilizing transformation.
+    """Reduced system of one run's technique ("none", "i", "ii" or "iii").
 
-    Exactly one of transformed (a re-assembled projected system, technique
-    ii) and reduced (the stabilized reduced system of the basis's full
-    order, techniques i and iii) is set.
+    reduced has the full order of the Krylov basis; its leading blocks are
+    the reductions onto the basis's leading columns.  diagnostics holds the
+    technique's own figures (empty for "none").
     """
 
     technique: str
-    transformed: LTISystem | None = None
-    reduced: LTISystem | None = None
+    reduced: LTISystem
     diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if (self.transformed is None) == (self.reduced is None):
-            raise ValueError("exactly one of transformed and reduced must be set")
 
 
 def technique_i(fom: LTISystem, V, rule: FrequencyRule) -> StabilizationOutcome:
@@ -116,8 +111,9 @@ def technique_i(fom: LTISystem, V, rule: FrequencyRule) -> StabilizationOutcome:
 
 
 def technique_ii(aps: AffineParamSystem, basis: PCBasis,
-                 quad: QuadratureRule) -> StabilizationOutcome:
-    """Per-realization Lyapunov transform followed by quadrature projection.
+                 quad: QuadratureRule) -> LTISystem:
+    """The re-assembled projected system: a per-realization Lyapunov
+    transform followed by quadrature projection.
 
     At every node mu_k the matrices are replaced by E^T M E, E^T M A, E^T M B
     with M = M(mu_k) solving the local Lyapunov equation
@@ -146,10 +142,8 @@ def technique_ii(aps: AffineParamSystem, basis: PCBasis,
         EtM = E.transpose(0, 2, 1) @ M
         return EtM @ A, EtM @ B, EtM @ E
 
-    transformed = assemble_via_quadrature(transformed_matrices, basis, quad,
-                                          C=assemble_output(aps, basis))
-    return StabilizationOutcome(technique="ii", transformed=transformed,
-                                diagnostics={"nodes": quad.k})
+    return assemble_via_quadrature(transformed_matrices, basis, quad,
+                                   C=assemble_output(aps, basis))
 
 
 def _block_count(fom: LTISystem, n: int) -> int:

@@ -11,15 +11,19 @@ import sgmor.mor
 import sgmor.systems
 from sgmor import (
     RunConfig,
+    arnoldi,
     build_bandpass,
+    build_basis,
     build_msd,
     eval_at,
     is_dissipative,
+    monte_carlo_rule,
     pencil_spectrum,
     reduce,
     regularize_affine,
     run_experiment,
     stability_sweep,
+    technique_ii,
 )
 from sgmor.bench import (
     BPF_LOAD_G,
@@ -220,6 +224,17 @@ class TestRunConfig:
             RunConfig(technique="i", **{key: value})
 
     @pytest.mark.parametrize("key, value", [
+        ("expansion_point", float("nan")), ("expansion_point", float("inf")),
+        ("omega_scale", float("inf")), ("stab_scale", float("inf")),
+        ("beta", float("nan")), ("beta", float("-inf")), ("expansion_point", 10 ** 400)])
+    def test_nonfinite_value_rejected(self, key, value):
+        # each used to pass, run the projection, and fail in Arnoldi or the
+        # technique-i rule as a singular pencil at a nan shift; an integer
+        # past the largest float is no finite float either
+        with pytest.raises(ValueError, match=f"config key '{key}' must be finite"):
+            RunConfig(technique="i", **{key: value})
+
+    @pytest.mark.parametrize("key, value", [
         ("with_errors", "false"), ("with_errors", 0), ("degree", 1.0),
         ("degree", True), ("r_max", "30"), ("nodes", None), ("beta", "1e-5"),
         ("expansion_point", False), ("model", 1), ("out", 3)])
@@ -303,10 +318,12 @@ class TestRunExperiment:
         # about 0.44 MB each for E and A; the dense pair would take 47 MB
         cfg = RunConfig(model="msd", degree=2, technique="ii", quad_nodes=200,
                         with_errors=False)
-        _, arn, outcome = stabilized_basis(cfg, timings={})
-        fom = outcome.transformed
+        aps = build_msd()
+        fom = technique_ii(aps, build_basis(aps.dists, 2),
+                           monte_carlo_rule(aps.dists, 200, seed=cfg.seed))
         assert fom.E.nbytes < 2 ** 20
         assert fom.A.nbytes < 2 ** 20
+        arn = arnoldi(fom.E, fom.A, fom.B, cfg.expansion_point, cfg.r_max)
         report = stability_sweep(fom, reduce(fom, arn.V))
         assert len(report.rows) == 30
         assert report.failed_orders == []
@@ -417,14 +434,11 @@ def assert_same_rows(rows, reference):
 def uncapped_rows(cfg):
     """The sweep of cfg built from the pipeline's stages directly, outside
     run_experiment and so with SciPy's BLAS at its own thread count."""
-    (_, _, fom), arn, outcome = stabilized_basis(cfg, timings={})
+    (_, _, fom), _, outcome = stabilized_basis(cfg, timings={})
     sgmor.mor._reference_cache.clear()  # the reference too, uncapped
-    if outcome is None or outcome.reduced is None:
-        rom = reduce(fom if outcome is None else outcome.transformed, arn.V)
-    else:
-        rom = outcome.reduced
     rule = FrequencyRule.gauss(cfg.error_nodes, omega_scale=cfg.omega_scale)
-    return [asdict(row) for row in stability_sweep(fom, rom, freq_rule=rule).rows]
+    return [asdict(row) for row in
+            stability_sweep(fom, outcome.reduced, freq_rule=rule).rows]
 
 
 class TestScipyBlasThreads:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import sgmor.mor
-from sgmor import LTISystem, RunConfig, load_system, save_system, stability_sweep
+from sgmor import (FrequencyRule, LTISystem, RunConfig, load_system, save_system,
+                   stability_sweep)
 from sgmor.cli import main
 
 
@@ -35,6 +36,15 @@ class TestBenchCommand:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"bogus": 1}))
         with pytest.raises(ValueError, match="unknown"):
+            main(["bench", "msd", "--config", str(cfg_file)])
+
+    @pytest.mark.parametrize("text", ['{"expansion_point": NaN}',
+                                      '{"omega_scale": Infinity}'])
+    def test_nonfinite_config_value_rejected(self, tmp_path, text):
+        # Python's json reads NaN and Infinity
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        with pytest.raises(ValueError, match="must be finite"):
             main(["bench", "msd", "--config", str(cfg_file)])
 
 
@@ -120,6 +130,22 @@ class TestStabilizeCommand:
         assert main(args + [str(tmp_path / "b")]) == 0
         assert ((tmp_path / "a" / "diagnostics.json").read_bytes()
                 == (tmp_path / "b" / "diagnostics.json").read_bytes())
+
+    @pytest.mark.parametrize("technique", ["i", "iii"])
+    def test_saves_the_system_that_bench_sweeps(self, capsys, tmp_path, technique):
+        # swept against an assembled system on bench's error rule, the saved
+        # reduced system gives bench's sweep.csv byte for byte
+        assert main(["stabilize", "--model", "msd", "--technique", technique,
+                     "--out", str(tmp_path / "fac")]) == 0
+        assert main(["assemble", "--model", "msd", "--out", str(tmp_path / "fom")]) == 0
+        assert main(["bench", "msd", "--technique", technique,
+                     "--out", str(tmp_path / "run")]) == 0
+        rom, _ = load_system(tmp_path / "fac")
+        fom, _ = load_system(tmp_path / "fom")
+        cfg = RunConfig(model="msd", technique=technique)
+        rule = FrequencyRule.gauss(cfg.error_nodes, omega_scale=cfg.omega_scale)
+        assert (stability_sweep(fom, rom, freq_rule=rule).to_csv()
+                == (tmp_path / "run" / "sweep.csv").read_text())
 
     def test_bpf_technique_i_stable_at_every_order(self, capsys, tmp_path):
         # the quadrature must use the stabilizer scale that sgmor bench uses;

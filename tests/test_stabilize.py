@@ -7,8 +7,9 @@ from sgmor import (
     AffineParamSystem,
     Distribution,
     FrequencyRule,
+    LTISystem,
+    NodeKronSum,
     QuadratureRule,
-    StabilizationOutcome,
     arnoldi,
     assemble,
     assemble_via_quadrature,
@@ -22,6 +23,7 @@ from sgmor import (
     reduce,
     regularize,
     regularize_affine,
+    run_experiment,
     solve_lyap_direct,
     stability_sweep,
     technique_i,
@@ -29,7 +31,7 @@ from sgmor import (
     technique_iii,
     theta_family,
 )
-from sgmor.bench import RunConfig, project
+from sgmor.bench import RunConfig, project, stabilized_basis
 from sgmor.stabilize import DEFAULT_BETA, _technique_iii_margin
 from sgmor.systems import _affine_sum
 
@@ -224,12 +226,29 @@ class TestTheoremProperties:
 
 
 class TestOutcome:
-    def test_exactly_one_field(self):
-        with pytest.raises(ValueError):
-            StabilizationOutcome(technique="x")
-        with pytest.raises(ValueError):
-            StabilizationOutcome(technique="x", transformed="anything",
-                                 reduced="anything")
+    """The driver's outcome: one reduced system of the basis's rank and the
+    technique's diagnostics, for every technique."""
+
+    @pytest.mark.parametrize("technique, keys", [
+        ("none", set()), ("i", {"nodes", "omega_scale"}), ("ii", {"nodes"}),
+        ("iii", {"margin", "mu_star"})])
+    def test_driver_contract(self, technique, keys):
+        cfg = RunConfig(model="msd", degree=1, technique=technique, with_errors=False)
+        _, arn, outcome = stabilized_basis(cfg, timings={})
+        assert outcome.technique == cfg.technique
+        assert outcome.reduced.n == arn.rank
+        assert set(outcome.diagnostics) == keys
+        if technique == "ii":
+            assert outcome.diagnostics == {"nodes": 100}
+        assert outcome.diagnostics == run_experiment(cfg)["diagnostics"]
+
+    def test_technique_ii_returns_the_reassembled_system(self):
+        aps = build_msd()
+        basis = build_basis(aps.dists, 1)
+        fom = technique_ii(aps, basis, monte_carlo_rule(aps.dists, 30, seed=7))
+        assert isinstance(fom, LTISystem)
+        assert isinstance(fom.E, NodeKronSum) and isinstance(fom.A, NodeKronSum)
+        assert (fom.n, fom.n_in, fom.n_out) == (basis.m * aps.n, 1, basis.m)
 
 
 class TestTechniqueI:
@@ -240,7 +259,6 @@ class TestTechniqueI:
         res = arnoldi(fom.E, fom.A, fom.B, r_max=10, s0=1.0)
         out = technique_i(fom, res.V, rule=FrequencyRule.gauss(64))
         assert out.technique == "i"
-        assert out.transformed is None
         assert out.reduced.n == res.V.shape[1]
         assert out.diagnostics["nodes"] == 64
         report = stability_sweep(fom, out.reduced)
@@ -263,10 +281,9 @@ class TestTechniqueII:
         aps = stable_family(rng, 3, 2, part_scale=0.05)
         basis = build_basis(aps.dists, 1)
         quad = monte_carlo_rule(aps.dists, 40, seed=5)
-        out = technique_ii(aps, basis, quad)
-        assert out.technique == "ii"
-        Ed = out.transformed.E.toarray()
-        Ad = out.transformed.A.toarray()
+        fom_t = technique_ii(aps, basis, quad)
+        Ed = fom_t.E.toarray()
+        Ad = fom_t.A.toarray()
         lam_E = np.linalg.eigvalsh(0.5 * (Ed + Ed.T))
         lam_S = np.linalg.eigvalsh(Ad + Ad.T)
         assert lam_E.min() >= -1e-10 * max(np.abs(lam_E).max(), 1.0)
@@ -278,16 +295,15 @@ class TestTechniqueII:
         rng = np.random.default_rng(54)
         aps = stable_family(rng, 3, 1)
         basis = build_basis(aps.dists, 2)
-        out = technique_ii(aps, basis, monte_carlo_rule(aps.dists, 10, seed=2))
-        assert_allclose(out.transformed.C.toarray(),
+        fom_t = technique_ii(aps, basis, monte_carlo_rule(aps.dists, 10, seed=2))
+        assert_allclose(fom_t.C.toarray(),
                         assemble_output(aps, basis).toarray(), rtol=1e-13)
 
     def test_reductions_of_transform_are_stable(self):
         rng = np.random.default_rng(55)
         aps = stable_family(rng, 3, 1, part_scale=0.1)
         basis = build_basis(aps.dists, 2)
-        out = technique_ii(aps, basis, monte_carlo_rule(aps.dists, 50, seed=3))
-        fom_t = out.transformed
+        fom_t = technique_ii(aps, basis, monte_carlo_rule(aps.dists, 50, seed=3))
         res = arnoldi(fom_t.E, fom_t.A, fom_t.B, r_max=6, s0=1.0)
         report = stability_sweep(fom_t, reduce(fom_t, res.V))
         assert all(row.stable for row in report.rows)
@@ -330,7 +346,7 @@ class TestTechniqueIIStacked:
         aps = build_msd()
         basis = build_basis(aps.dists, 2)
         quad = monte_carlo_rule(aps.dists, 200, seed=0)
-        got = technique_ii(aps, basis, quad).transformed
+        got = technique_ii(aps, basis, quad)
         want = assemble_via_quadrature(per_node_matrices(aps), basis, quad)
         assert np.array_equal(got.E.X, want.E.X)
         assert np.array_equal(got.A.X, want.A.X)
@@ -401,7 +417,7 @@ class TestTechniqueIII:
         fom = assemble(aps, build_basis(aps.dists, 2))
         res = arnoldi(fom.E, fom.A, fom.B, r_max=8, s0=1.0)
         out = technique_iii(fom, aps, res.V)
-        assert out.technique == "iii" and out.transformed is None
+        assert out.technique == "iii"
         at_mean = eval_at(aps, aps.nominal())
         M_star = solve_lyap_direct(at_mean.E, at_mean.A, np.eye(aps.n))
         m = fom.n // aps.n

@@ -32,7 +32,7 @@ from sgmor import (
     technique_ii,
     transfer_on_grid,
 )
-from sgmor.bench import project, stabilized_basis
+from sgmor.bench import _family, project, stabilized_basis
 from sgmor.systems import NodeKronSum
 
 from _gen import (random_dissipative, random_stable_generalized, random_stable_ode,
@@ -363,7 +363,7 @@ def msd1_technique_ii():
     """MSD degree 1 re-assembled by technique ii, and its densified copy."""
     cfg = RunConfig(model="msd", degree=1, technique="ii")
     aps, basis, _ = project(cfg)
-    fom = technique_ii(aps, basis, monte_carlo_rule(aps.dists, 30, seed=7)).transformed
+    fom = technique_ii(aps, basis, monte_carlo_rule(aps.dists, 30, seed=7))
     dense = LTISystem(E=fom.E.toarray(), A=fom.A.toarray(), B=fom.B, C=fom.C)
     return cfg, fom, dense
 
@@ -490,28 +490,21 @@ class TestNodeKronSumSolver:
         assert_allclose(h2_relative_error(fom, rom), err_dense, rtol=1e-10)
 
 
-@pytest.fixture(scope="module")
-def msd2_technique_ii():
-    """MSD degree 2 and technique ii's run at cfg.quad_nodes nodes (the
-    default 2 m = 342 when None): project's output, Arnoldi basis and outcome."""
-    cache = {}
-
-    def run(quad_nodes):
-        if quad_nodes not in cache:
-            cfg = RunConfig(model="msd", degree=2, technique="ii", quad_nodes=quad_nodes,
-                            with_errors=False)
-            cache[quad_nodes] = (cfg, *stabilized_basis(cfg, timings={}))
-        return cache[quad_nodes]
-
-    return run
+def msd2_technique_ii(quad_nodes):
+    """MSD degree 2 re-assembled by technique ii at quad_nodes nodes and the
+    run's seed: the run's configuration and the re-assembled system."""
+    cfg = RunConfig(model="msd", degree=2, technique="ii", quad_nodes=quad_nodes,
+                    with_errors=False)
+    aps, basis = _family(cfg)
+    quad = monte_carlo_rule(aps.dists, quad_nodes, seed=cfg.seed)
+    return cfg, technique_ii(aps, basis, quad)
 
 
 class TestNodeWisePreconditioner:
-    def test_arnoldi_solves_take_few_products(self, msd2_technique_ii, monkeypatch):
+    def test_arnoldi_solves_take_few_products(self, monkeypatch):
         # the mean-based G^-1 (x) Kbar^-1 took 19-20 operator products per
         # solve here; the node-wise one takes 7-9
-        cfg, _, _, outcome = msd2_technique_ii(200)
-        fom = outcome.transformed
+        cfg, fom = msd2_technique_ii(200)
         gmres = sgmor.systems._gmres
         products = []
 
@@ -534,16 +527,15 @@ class TestNodeWisePreconditioner:
         assert len(products) == cfg.r_max
         assert max(products) <= 12
 
-    def test_reassembly_distance_on_the_imaginary_axis(self, msd2_technique_ii):
+    def test_reassembly_distance_on_the_imaginary_axis(self):
         # every point of the 200-node rule converges within the unchanged
         # cap; the mean-based preconditioner missed it at 13 of the 100
         assert sgmor.systems._GMRES_MAXITER == 60
-        cfg, (_, _, projected), _, outcome = msd2_technique_ii(None)
-        assert projected is None  # a run without errors does not assemble it
+        # 342 = 2 m, the default node count of the m = 171 polynomials
+        cfg, transformed = msd2_technique_ii(342)
         projected = project(cfg)[2]
-        assert outcome.transformed.E.S.shape == (342, 171)
-        err = h2_relative_error(projected, outcome.transformed,
-                                FrequencyRule.gauss(200))
+        assert transformed.E.S.shape == (342, 171)
+        err = h2_relative_error(projected, transformed, FrequencyRule.gauss(200))
         assert np.isfinite(err)
 
 
