@@ -32,8 +32,9 @@ BREAKDOWN_RTOL = 1e-13
 _REFERENCE_CACHE_SIZE = 4
 # digest of (reference system, rule) -> (read-only H_ref on the grid, energy)
 _reference_cache = {}
-# Serializes insertion and eviction for callers on several threads.
-_reference_lock = threading.Lock()
+# Serializes insertion and eviction in every _cached cache, for callers on
+# several threads.
+_cache_lock = threading.Lock()
 
 
 @dataclass(eq=False)
@@ -160,10 +161,11 @@ class StabilityReport:
         return text
 
 
-def _digest(reference: LTISystem, omegas, weights) -> bytes:
-    """Digest of everything _reference_on_grid's values depend on: the
-    container type, format, shape and dtype of E, A, B and C with every one
-    of their arrays, and the rule's nodes and weights."""
+def _digest(system: LTISystem, *arrays) -> bytes:
+    """Digest of system and arrays: the container type, format, shape and
+    dtype of E, A, B and C with every one of their arrays, then the dtype,
+    shape and values of each further array (a rule's nodes and weights for
+    _reference_on_grid)."""
     h = hashlib.blake2b(digest_size=32)
 
     def feed(*arrays):
@@ -172,7 +174,7 @@ def _digest(reference: LTISystem, omegas, weights) -> bytes:
             h.update(f"{a.dtype.str}{a.shape}".encode())
             h.update(a)
 
-    for X in (reference.E, reference.A, reference.B, reference.C):
+    for X in (system.E, system.A, system.B, system.C):
         h.update(f"{type(X).__qualname__} {getattr(X, 'format', '')} "
                  f"{X.shape} {X.dtype};".encode())
         if sp.issparse(X):
@@ -182,8 +184,21 @@ def _digest(reference: LTISystem, omegas, weights) -> bytes:
             feed(X.S, X.w, X.X)
         else:
             feed(X)
-    feed(omegas, weights)
+    feed(*arrays)
     return h.digest()
+
+
+def _cached(cache: dict, size: int, key, compute):
+    """cache[key], set to compute() on a miss; past size entries the oldest
+    is evicted.  A compute() that raises stores nothing."""
+    entry = cache.get(key)
+    if entry is None:
+        entry = compute()
+        with _cache_lock:
+            cache[key] = entry
+            if len(cache) > size:
+                del cache[next(iter(cache))]
+    return entry
 
 
 def _reference_on_grid(reference: LTISystem, omegas, weights):
@@ -191,17 +206,14 @@ def _reference_on_grid(reference: LTISystem, omegas, weights):
     first call for a (system, rule) in this process and then returned from
     _reference_cache; the values are read-only, since every caller shares
     them.  A reference whose evaluation raises leaves nothing behind."""
-    key = _digest(reference, omegas, weights)
-    entry = _reference_cache.get(key)
-    if entry is None:
+
+    def evaluate():
         ref_vals = transfer_on_grid(reference, omegas)
         ref_vals.flags.writeable = False
-        entry = ref_vals, _weighted_energy(weights, ref_vals)
-        with _reference_lock:
-            _reference_cache[key] = entry
-            if len(_reference_cache) > _REFERENCE_CACHE_SIZE:
-                del _reference_cache[next(iter(_reference_cache))]
-    return entry
+        return ref_vals, _weighted_energy(weights, ref_vals)
+
+    return _cached(_reference_cache, _REFERENCE_CACHE_SIZE,
+                   _digest(reference, omegas, weights), evaluate)
 
 
 def _relative_error_fn(reference: LTISystem, rule: FrequencyRule, target: LTISystem):

@@ -29,11 +29,17 @@ import scipy.sparse.linalg as spla
 from .frequency import FrequencyRule
 from .galerkin import assemble_output, assemble_via_quadrature
 from .lyapunov import freq_projection, solve_lyap_direct
-from .mor import reduce
+from .mor import _cached, _digest, reduce
 from .pce import PCBasis, QuadratureRule
 from .systems import AffineParamSystem, LTISystem, _affine_sum, _as_columns, eval_at
 
 DEFAULT_BETA = 1e-5
+
+# Entries of _margin_cache; past it the oldest entry is evicted.  An entry
+# is one float under a 32-byte digest.
+_MARGIN_CACHE_SIZE = 8
+# digest of (projected system, M*) -> technique iii's margin
+_margin_cache = {}
 
 
 def regularize(E, A, beta: float = DEFAULT_BETA):
@@ -165,7 +171,10 @@ def technique_iii(fom: LTISystem, aps: AffineParamSystem, V, F=None) -> Stabiliz
     reduced system has the order r of V; its leading blocks are the
     reductions onto V's leading columns.  The diagnostics report mu_star
     and the margin lambda_max(E^T (I (x) M*) A + transpose); a negative
-    margin certifies that every reduction from (W, V) is stable.
+    margin certifies that every reduction from (W, V) is stable.  The
+    margin does not depend on V: it is computed once per distinct
+    (fom, M*) per process (_technique_iii_margin), so a run at another
+    expansion point reuses it.
     """
     mu_star = aps.nominal()
     n = aps.n
@@ -188,20 +197,26 @@ def technique_iii(fom: LTISystem, aps: AffineParamSystem, V, F=None) -> Stabiliz
 
 
 def _technique_iii_margin(fom: LTISystem, M_star: np.ndarray) -> float:
-    """Largest eigenvalue of E^T (I (x) M*) A + (E^T (I (x) M*) A)^T."""
+    """Largest eigenvalue of E^T (I (x) M*) A + (E^T (I (x) M*) A)^T,
+    computed at the first call for a (fom, M*) in this process and then
+    returned from _margin_cache, which is keyed by the content of both."""
     m = _block_count(fom, M_star.shape[0])
-    M_big = sp.kron(sp.identity(m, format="csr"),
-                    sp.csr_matrix(M_star), format="csr")
-    E_s = sp.csr_matrix(fom.E)
-    A_s = sp.csr_matrix(fom.A)
-    T = (E_s.T @ M_big) @ A_s
-    S = (T + T.T).tocsc()
-    if fom.n == 1:  # ARPACK needs k < n
-        return float(S[0, 0])
-    # a fixed start vector makes ARPACK, and so the margin, reproducible
-    val = spla.eigsh(S, k=1, which="LA", v0=np.ones(fom.n),
-                     return_eigenvectors=False)
-    return float(val[0])
+
+    def compute():
+        M_big = sp.kron(sp.identity(m, format="csr"),
+                        sp.csr_matrix(M_star), format="csr")
+        E_s = sp.csr_matrix(fom.E)
+        A_s = sp.csr_matrix(fom.A)
+        T = (E_s.T @ M_big) @ A_s
+        S = (T + T.T).tocsc()
+        if fom.n == 1:  # ARPACK needs k < n
+            return float(S[0, 0])
+        # a fixed start vector makes ARPACK, and so the margin, reproducible
+        val = spla.eigsh(S, k=1, which="LA", v0=np.ones(fom.n),
+                         return_eigenvectors=False)
+        return float(val[0])
+
+    return _cached(_margin_cache, _MARGIN_CACHE_SIZE, _digest(fom, M_star), compute)
 
 
 def theta_family(aps: AffineParamSystem, theta: float) -> AffineParamSystem:

@@ -5,11 +5,22 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import sgmor.bench  # noqa: E402
 import sgmor.mor  # noqa: E402
+import sgmor.stabilize  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
-def cold_reference_cache():
-    """Each test starts without cached error references, so that what it
-    counts or compares does not depend on the tests that ran before it."""
-    sgmor.mor._reference_cache.clear()
+def cold_caches():
+    """Each test starts without cached error references, projections or
+    technique-iii margins, so that what it counts or compares does not
+    depend on the tests that ran before it.  A test that asks for this
+    fixture gets the function that empties them, to start cold again."""
+
+    def clear():
+        sgmor.mor._reference_cache.clear()
+        sgmor.bench._projection.cache_clear()
+        sgmor.stabilize._margin_cache.clear()
+
+    clear()
+    return clear

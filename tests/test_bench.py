@@ -39,6 +39,7 @@ from sgmor.bench import (
     MSD_MASSES,
     MSD_SPRINGS,
     MSD_VARIATION,
+    project,
     stabilized_basis,
 )
 from sgmor.cli import main
@@ -414,6 +415,83 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result["dimension"] == 10
         assert result["blocks"] == 1
+
+
+@pytest.fixture
+def assemblies(monkeypatch):
+    """The degree of every basis that bench assembles a projection on."""
+    calls = []
+    assemble = sgmor.bench.assemble
+
+    def counting(aps, basis):
+        calls.append(basis.degree)
+        return assemble(aps, basis)
+
+    monkeypatch.setattr(sgmor.bench, "assemble", counting)
+    return calls
+
+
+class TestProjectionCache:
+    def test_new_expansion_point_reuses_the_projection(self, assemblies, cold_caches):
+        # the projected system and the margin do not depend on the expansion
+        # point; a warm run must write what a cold one writes, bit for bit
+        base = dict(model="msd", degree=1, technique="iii")
+        run_experiment(RunConfig(**base, expansion_point=0.7))
+        warm = run_experiment(RunConfig(**base, expansion_point=0.9))
+        assert assemblies == [1]
+        cold_caches()
+        cold = run_experiment(RunConfig(**base, expansion_point=0.9))
+        assert assemblies == [1, 1]
+        assert cold["rows"] == warm["rows"]
+        assert cold["diagnostics"] == warm["diagnostics"]
+
+    def test_key_is_model_degree_and_beta(self, assemblies):
+        base = dict(model="msd", degree=1)
+        aps, basis, fom = project(RunConfig(**base))
+        # neither the technique nor the expansion point is part of the key
+        same = project(RunConfig(**base, technique="i", expansion_point=0.9, seed=3))
+        assert same[0] is aps and same[1] is basis and same[2] is fom
+        for change in (dict(degree=0), dict(beta=1e-5), dict(model="bpf", degree=1)):
+            before = len(assemblies)
+            assert project(RunConfig(**{**base, **change}))[2] is not fom
+            assert len(assemblies) == before + 1, change
+        assert project(RunConfig(**base))[2] is fom
+        assert len(assemblies) == 4
+
+    def test_least_recently_used_entry_evicted_at_the_bound(self, assemblies):
+        bound = sgmor.bench._PROJECTION_CACHE_SIZE
+        configs = [RunConfig(model="msd", degree=0, beta=1e-5 * (j + 1))
+                   for j in range(bound + 1)]
+        for cfg in configs:
+            project(cfg)
+        project(configs[-1])  # newest: kept
+        assert len(assemblies) == bound + 1
+        project(configs[0])  # oldest: evicted
+        assert len(assemblies) == bound + 2
+
+    def test_cached_arrays_are_read_only(self):
+        aps, basis, fom = project(RunConfig(model="bpf", degree=1))
+        arrays = [fom.B, basis.exponents]
+        for X in (fom.E, fom.A, fom.C):
+            arrays += [X.data, X.indices, X.indptr]
+        for parts in (aps.E_parts, aps.A_parts, aps.B_parts, aps.C_parts):
+            arrays += [part for part in parts if part is not None]
+        arrays += [aps.E0, aps.A0, aps.B0, aps.C0]
+        assert not any(a.flags.writeable for a in arrays)
+        A_data, A0 = fom.A.data.copy(), aps.A0.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            fom.A.data *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            aps.A0[0, 0] = 1.0
+        again = project(RunConfig(model="bpf", degree=1))
+        assert np.array_equal(again[2].A.data, A_data)
+        assert np.array_equal(again[0].A0, A0)
+
+    def test_technique_ii_with_errors_shares_the_projection(self, assemblies):
+        base = dict(model="msd", degree=1, r_max=3, error_nodes=20)
+        run_experiment(RunConfig(**base, technique="none"))
+        run_experiment(RunConfig(**base, technique="ii"))
+        assert assemblies == [1]
 
 
 def assert_same_rows(rows, reference):

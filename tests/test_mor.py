@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -374,6 +376,46 @@ class TestErrorReferenceCache:
                 stability_sweep(fom, rom, freq_rule=rule)
             assert sgmor.mor._reference_cache == {}
         assert evaluations == [fom, fom]
+
+
+class _SlowKey:
+    """A key whose hashing runs Python code, where threads can switch."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __eq__(self, other):
+        return self.value == other.value
+
+
+def test_bounded_cache_under_concurrent_inserts():
+    # two threads inserting past the bound must not both evict the same
+    # oldest entry (KeyError) or iterate a dict another one resizes
+    cache, size, errors = {}, 4, []
+
+    def insert(offset):
+        try:
+            for j in range(20000):
+                sgmor.mor._cached(cache, size, _SlowKey((offset, j)), lambda: j)
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=insert, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(cache) == size
 
 
 class TestCsv:

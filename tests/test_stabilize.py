@@ -3,6 +3,8 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
+import sgmor.stabilize
+
 from sgmor import (
     AffineParamSystem,
     Distribution,
@@ -466,4 +468,63 @@ class TestTechniqueIII:
         at_mean = eval_at(aps, aps.nominal())
         M_star = solve_lyap_direct(at_mean.E, at_mean.A, np.eye(aps.n))
         first = _technique_iii_margin(fom, M_star)
+        sgmor.stabilize._margin_cache.clear()  # compute it again
         assert _technique_iii_margin(fom, M_star) == first
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """The dimension of every matrix that stabilize hands to ARPACK."""
+    calls = []
+    eigsh = sgmor.stabilize.spla.eigsh
+
+    def counting(S, *args, **kwargs):
+        calls.append(S.shape[0])
+        return eigsh(S, *args, **kwargs)
+
+    monkeypatch.setattr(sgmor.stabilize.spla, "eigsh", counting)
+    return calls
+
+
+@pytest.fixture
+def margin_case():
+    """A projected stable family of 3 blocks of 4 states and its M*."""
+    aps = stable_family(np.random.default_rng(61), 4, 2)
+    fom = assemble(aps, build_basis(aps.dists, 1))
+    at_mean = eval_at(aps, aps.nominal())
+    return fom, solve_lyap_direct(at_mean.E, at_mean.A, np.eye(aps.n))
+
+
+class TestMarginCache:
+    def test_content_equal_inputs_hit(self, margin_case, eigsh_calls):
+        fom, M_star = margin_case
+        first = _technique_iii_margin(fom, M_star)
+        copy = LTISystem(E=fom.E.copy(), A=fom.A.copy(), B=fom.B.copy(),
+                         C=fom.C.copy())
+        assert _technique_iii_margin(copy, M_star.copy()) is first
+        assert eigsh_calls == [fom.n]
+
+    def test_changed_system_or_m_star_misses(self, margin_case, eigsh_calls):
+        fom, M_star = margin_case
+        first = _technique_iii_margin(fom, M_star)
+        A = fom.A.copy()
+        A.data[0] = np.nextafter(A.data[0], np.inf)  # one entry, one ulp
+        changed = LTISystem(E=fom.E, A=A, B=fom.B, C=fom.C)
+        for system, M in ((changed, M_star), (fom, 2.0 * M_star)):
+            before = len(eigsh_calls)
+            assert _technique_iii_margin(system, M) is not first
+            assert len(eigsh_calls) == before + 1
+        assert _technique_iii_margin(fom, M_star) is first
+        assert len(eigsh_calls) == 3
+
+    def test_oldest_entry_evicted_at_the_bound(self, margin_case, eigsh_calls):
+        fom, M_star = margin_case
+        bound = sgmor.stabilize._MARGIN_CACHE_SIZE
+        scales = [1.0 + j for j in range(bound + 1)]
+        for c in scales:
+            _technique_iii_margin(fom, c * M_star)
+        assert len(sgmor.stabilize._margin_cache) == bound
+        _technique_iii_margin(fom, scales[-1] * M_star)  # newest: kept
+        assert len(eigsh_calls) == bound + 1
+        _technique_iii_margin(fom, scales[0] * M_star)  # oldest: evicted
+        assert len(eigsh_calls) == bound + 2

@@ -495,7 +495,7 @@ def msd2_technique_ii(quad_nodes):
     run's seed: the run's configuration and the re-assembled system."""
     cfg = RunConfig(model="msd", degree=2, technique="ii", quad_nodes=quad_nodes,
                     with_errors=False)
-    aps, basis = _family(cfg)
+    aps, basis = _family(cfg.model, cfg.degree, cfg.beta)
     quad = monte_carlo_rule(aps.dists, quad_nodes, seed=cfg.seed)
     return cfg, technique_ii(aps, basis, quad)
 
