@@ -18,8 +18,8 @@ from .galerkin import assemble, assemble_output, assemble_via_quadrature
 from .lyapunov import freq_projection, solve_lyap_direct
 from .stabilize import (StabilizationOutcome, regularize, regularize_affine,
                         technique_i, technique_ii, technique_iii, theta_family)
-from .mor import (ArnoldiResult, StabilityReport, SweepRow, arnoldi,
-                  h2_relative_error, reduce, stability_sweep)
+from .mor import (ArnoldiResult, ErrorReference, StabilityReport, SweepRow, arnoldi,
+                  error_reference, h2_relative_error, reduce, stability_sweep)
 from .bench import RunConfig, build_bandpass, build_msd, run_experiment
 from .mmio import load_system, save_system
 

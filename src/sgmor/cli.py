@@ -15,7 +15,7 @@ from .bench import (MODEL_FIELDS, MODELS, TECHNIQUES, RunConfig, project,
                     run_experiment, stabilized_basis)
 from .frequency import DEFAULT_NODES, FrequencyRule
 from .mmio import load_system, save_system
-from .mor import arnoldi, h2_relative_error, reduce, stability_sweep
+from .mor import arnoldi, error_reference, h2_relative_error, reduce, stability_sweep
 from .systems import _scipy_blas_serial
 
 
@@ -99,10 +99,10 @@ def _cmd_reduce(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     np.savetxt(out_dir / "V.txt", arn.V)
-    rule = None
+    reference = None
     if getattr(args, "with_errors", RunConfig.with_errors):
-        rule = _error_rule(args, extra)
-    report = stability_sweep(sys_full, reduce(sys_full, arn.V), freq_rule=rule)
+        reference = error_reference(sys_full, _error_rule(args, extra))
+    report = stability_sweep(reduce(sys_full, arn.V), reference)
     report.to_csv(out_dir / "sweep.csv")
     print(f"Krylov basis of rank {arn.rank}"
           + (" (breakdown)" if arn.breakdown else ""))

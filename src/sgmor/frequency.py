@@ -21,6 +21,13 @@ MAX_NODES = 1600
 CONVERGENCE_RTOL = 1e-6
 
 
+def _check_scale(omega_scale):
+    if not np.isfinite(omega_scale):
+        raise ValueError("omega_scale must be finite")
+    if not omega_scale > 0:
+        raise ValueError("omega_scale must be positive")
+
+
 @dataclass(frozen=True, eq=False)
 class FrequencyRule:
     """Nodes and weights of an even integrand's integral over omega >= 0.
@@ -42,12 +49,13 @@ class FrequencyRule:
     omega_scale: float = 1.0
 
     def __post_init__(self):
-        if not self.omega_scale > 0:
-            raise ValueError("omega_scale must be positive")
+        _check_scale(self.omega_scale)
         om = np.asarray(self.omegas, dtype=float)
         w = np.asarray(self.weights, dtype=float)
         if om.ndim != 1 or om.size == 0 or om.shape != w.shape:
             raise ValueError("omegas and weights must be 1-d, nonempty and equal length")
+        if not (np.all(np.isfinite(om)) and np.all(np.isfinite(w))):
+            raise ValueError("frequency nodes and weights must be finite")
         if not np.all(om >= 0):
             raise ValueError("frequency nodes must be nonnegative")
         if not np.all(w > 0):
@@ -61,14 +69,18 @@ class FrequencyRule:
         folded: a node at zero (odd n_nodes) keeps its single weight."""
         if n_nodes < 2:
             raise ValueError("need at least two nodes")
+        _check_scale(omega_scale)
         x, w = gauss_legendre(n_nodes)
         half_pi = np.pi / 2
         theta, theta_weights = half_pi * x, half_pi * w
         at_zero = np.isclose(theta, 0.0, atol=1e-14)
         pos = (theta > 0) & ~at_zero
         tan_pos = np.tan(theta[pos])
-        omegas = omega_scale * tan_pos
-        weights = (2.0 * theta_weights[pos]) * (omega_scale * (1.0 + tan_pos ** 2))
+        # a scale near the float range overflows to infinite nodes, which
+        # __post_init__ refuses
+        with np.errstate(over="ignore"):
+            omegas = omega_scale * tan_pos
+            weights = (2.0 * theta_weights[pos]) * (omega_scale * (1.0 + tan_pos ** 2))
         if np.any(at_zero):
             omegas = np.concatenate(([0.0], omegas))
             weights = np.concatenate(([theta_weights[at_zero][0] * omega_scale],

@@ -7,34 +7,22 @@ reduced system of the largest order, classifies the stability of the
 pencil of each of its leading blocks, and optionally attaches relative H2
 errors (h2_relative_error's code path), emitting a CSV-ready report.  The
 full-order side of those errors, the reference's transfer values on the
-error grid, is evaluated once per distinct (system, rule) per process and
-reused from a small content-keyed cache.
+error grid, is an ErrorReference value: error_reference evaluates it once,
+and a caller that sweeps one system many times passes the same value to
+each sweep.  Nothing here is remembered between calls.
 """
 
 import csv
-import hashlib
 import io
-import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .frequency import DEFAULT_NODES, FrequencyRule
-from .systems import (LTISystem, NodeKronSum, _as_dense, _weighted_energy,
-                      pencil_spectrum, shifted_solver, transfer_on_grid)
+from .systems import (LTISystem, _as_dense, _weighted_energy, pencil_spectrum,
+                      shifted_solver, transfer_on_grid)
 
 BREAKDOWN_RTOL = 1e-13
-
-# Entries of _reference_cache; past it the oldest entry is evicted.  One
-# entry holds 16 k n_out n_in bytes for k grid points: 0.27 MB at MSD
-# degree 2 and 9.6 MB at MSD degree 4 on the default 100-point half grid.
-_REFERENCE_CACHE_SIZE = 4
-# digest of (reference system, rule) -> (read-only H_ref on the grid, energy)
-_reference_cache = {}
-# Serializes insertion and eviction in every _cached cache, for callers on
-# several threads.
-_cache_lock = threading.Lock()
 
 
 @dataclass(eq=False)
@@ -64,6 +52,8 @@ def arnoldi(E, A, B, s0: float, r_max: int) -> ArnoldiResult:
         raise ValueError("expansion requires a single-input system")
     if r_max < 1:
         raise ValueError("r_max must be positive")
+    if not np.isfinite(s0):
+        raise ValueError("expansion point must be finite")
     r_max = min(r_max, n)
     solve = shifted_solver(E, A, s0)
     v = solve(Bd[:, 0])
@@ -161,104 +151,71 @@ class StabilityReport:
         return text
 
 
-def _digest(system: LTISystem, *arrays) -> bytes:
-    """Digest of system and arrays: the container type, format, shape and
-    dtype of E, A, B and C with every one of their arrays, then the dtype,
-    shape and values of each further array (a rule's nodes and weights for
-    _reference_on_grid)."""
-    h = hashlib.blake2b(digest_size=32)
+@dataclass(frozen=True, eq=False)
+class ErrorReference:
+    """The full-order side of relative H2 errors on one frequency rule: the
+    rule's nonnegative nodes and folded weights, the reference's transfer
+    values on them, shape (k, n_out, n_in), and their weighted energy.  The
+    arrays are read-only, so one value can serve every sweep against it."""
 
-    def feed(*arrays):
-        for a in arrays:
-            a = np.ascontiguousarray(a)
-            h.update(f"{a.dtype.str}{a.shape}".encode())
-            h.update(a)
-
-    for X in (system.E, system.A, system.B, system.C):
-        h.update(f"{type(X).__qualname__} {getattr(X, 'format', '')} "
-                 f"{X.shape} {X.dtype};".encode())
-        if sp.issparse(X):
-            X = X if hasattr(X, "indptr") else X.tocsr()
-            feed(X.indptr, X.indices, X.data)
-        elif isinstance(X, NodeKronSum):
-            feed(X.S, X.w, X.X)
-        else:
-            feed(X)
-    feed(*arrays)
-    return h.digest()
+    omegas: np.ndarray
+    weights: np.ndarray
+    values: np.ndarray
+    energy: float
 
 
-def _cached(cache: dict, size: int, key, compute):
-    """cache[key], set to compute() on a miss; past size entries the oldest
-    is evicted.  A compute() that raises stores nothing."""
-    entry = cache.get(key)
-    if entry is None:
-        entry = compute()
-        with _cache_lock:
-            cache[key] = entry
-            if len(cache) > size:
-                del cache[next(iter(cache))]
-    return entry
+def error_reference(fom: LTISystem, rule: FrequencyRule) -> ErrorReference:
+    """fom's transfer values on rule and their energy, evaluated once.
 
-
-def _reference_on_grid(reference: LTISystem, omegas, weights):
-    """(H_ref on omegas, its weighted energy with weights), computed at the
-    first call for a (system, rule) in this process and then returned from
-    _reference_cache; the values are read-only, since every caller shares
-    them.  A reference whose evaluation raises leaves nothing behind."""
-
-    def evaluate():
-        ref_vals = transfer_on_grid(reference, omegas)
-        ref_vals.flags.writeable = False
-        return ref_vals, _weighted_energy(weights, ref_vals)
-
-    return _cached(_reference_cache, _REFERENCE_CACHE_SIZE,
-                   _digest(reference, omegas, weights), evaluate)
-
-
-def _relative_error_fn(reference: LTISystem, rule: FrequencyRule, target: LTISystem):
-    """rom -> ||H_ref - H_rom|| / ||H_ref|| on rule for reduced models with
-    target's input/output counts.  The reference is evaluated once per
-    distinct (system, rule) per process (_reference_on_grid); the count
-    check and the zero-response refusal run on every call."""
-    if target.n_in != reference.n_in or target.n_out != reference.n_out:
-        raise ValueError("full and reduced systems must share input/output counts")
-    omegas, weights = rule.half()
-    ref_vals, den = _reference_on_grid(reference, omegas, weights)
-    if den <= 0.0:
+    A reference with zero response on the grid raises ValueError, since no
+    relative error is defined against it.
+    """
+    omegas, weights = (np.array(a) for a in rule.half())
+    values = transfer_on_grid(fom, omegas)
+    energy = _weighted_energy(weights, values)
+    if energy <= 0.0:
         raise ValueError("reference system has zero response on the error grid")
-    return lambda rom: float(np.sqrt(
-        _weighted_energy(weights, ref_vals - transfer_on_grid(rom, omegas)) / den))
+    for a in (omegas, weights, values):
+        a.flags.writeable = False
+    return ErrorReference(omegas=omegas, weights=weights, values=values, energy=energy)
+
+
+def _relative_error_fn(reference: ErrorReference, target: LTISystem):
+    """rom -> ||H_ref - H_rom|| / ||H_ref|| on reference's grid for reduced
+    models with target's input/output counts, which are checked here."""
+    if reference.values.shape[1:] != (target.n_out, target.n_in):
+        raise ValueError("full and reduced systems must share input/output counts")
+    return lambda rom: float(np.sqrt(_weighted_energy(
+        reference.weights, reference.values - transfer_on_grid(rom, reference.omegas))
+        / reference.energy))
 
 
 def h2_relative_error(fom: LTISystem, rom: LTISystem,
                       freq_rule: FrequencyRule | None = None) -> float:
     """Relative H2 error ||H - H_r|| / ||H|| on freq_rule (DEFAULT_NODES Gauss if None)."""
     rule = FrequencyRule.gauss(DEFAULT_NODES) if freq_rule is None else freq_rule
-    return _relative_error_fn(fom, rule, rom)(rom)
+    return _relative_error_fn(error_reference(fom, rule), rom)(rom)
 
 
-def stability_sweep(fom: LTISystem, rom: LTISystem,
-                    freq_rule: FrequencyRule | None = None) -> StabilityReport:
+def stability_sweep(rom: LTISystem,
+                    reference: ErrorReference | None = None) -> StabilityReport:
     """Classify the stability of every order r = 1..rom.n of one reduction.
 
     rom is the reduced system of the largest order; the model of order r is
     its leading block E[:r, :r], A[:r, :r], B[:r], C[:, :r], which is
     exactly the projection onto the first r columns of its bases.
 
-    With freq_rule given, relative H2 errors are computed on that shared
-    grid against fom, the projected system (it is read only then); an
-    input or output count that differs from rom's raises ValueError before
-    any order is classified.  The reference transfer function is evaluated
-    once per distinct (system, rule) per process, so a later sweep against
-    the same projected system and rule reuses it; each order's is one
-    transfer_on_grid call, which solves all grid points in one stacked call.
+    With reference given (error_reference of the projected system), each
+    order also gets its relative H2 error on the reference's grid, one
+    transfer_on_grid call that solves all grid points in one stacked call;
+    an input or output count that differs from rom's raises ValueError
+    before any order is classified.
 
     A failure at one order (its QZ, or a singular reduced pencil on the
     grid) is recorded in that row's note and the sweep continues.  Failed
     rows are listed in failed_orders, not in unstable_orders.
     """
-    error = None if freq_rule is None else _relative_error_fn(fom, freq_rule, rom)
+    error = None if reference is None else _relative_error_fn(reference, rom)
     rows = []
     for r in range(1, rom.n + 1):
         try:

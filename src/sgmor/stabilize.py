@@ -29,17 +29,11 @@ import scipy.sparse.linalg as spla
 from .frequency import FrequencyRule
 from .galerkin import assemble_output, assemble_via_quadrature
 from .lyapunov import freq_projection, solve_lyap_direct
-from .mor import _cached, _digest, reduce
+from .mor import reduce
 from .pce import PCBasis, QuadratureRule
 from .systems import AffineParamSystem, LTISystem, _affine_sum, _as_columns, eval_at
 
 DEFAULT_BETA = 1e-5
-
-# Entries of _margin_cache; past it the oldest entry is evicted.  An entry
-# is one float under a 32-byte digest.
-_MARGIN_CACHE_SIZE = 8
-# digest of (projected system, M*) -> technique iii's margin
-_margin_cache = {}
 
 
 def regularize(E, A, beta: float = DEFAULT_BETA):
@@ -161,62 +155,52 @@ def _block_count(fom: LTISystem, n: int) -> int:
     return m
 
 
-def technique_iii(fom: LTISystem, aps: AffineParamSystem, V, F=None) -> StabilizationOutcome:
+def _m_star(aps: AffineParamSystem, F=None) -> np.ndarray:
+    """M* solving the Lyapunov equation, F = I unless given, of aps's
+    realization at the parameter means."""
+    sys_star = eval_at(aps, aps.nominal())
+    return solve_lyap_direct(sys_star.E, sys_star.A, np.eye(aps.n) if F is None else F)
+
+
+def technique_iii(fom: LTISystem, aps: AffineParamSystem, V, F=None) -> LTISystem:
     """The reduced system W^T (E V, A V, B) with output C V, for the
     blockwise left factor W of one Lyapunov solution at a reference point.
 
     fom is the projection of aps; its m = fom.n / aps.n chaos blocks share
     M*.  W = (I (x) M*) E V with M* solving the Lyapunov equation, F = I
-    unless given, of the realization at the parameter means mu_star.  The
-    reduced system has the order r of V; its leading blocks are the
-    reductions onto V's leading columns.  The diagnostics report mu_star
-    and the margin lambda_max(E^T (I (x) M*) A + transpose); a negative
-    margin certifies that every reduction from (W, V) is stable.  The
-    margin does not depend on V: it is computed once per distinct
-    (fom, M*) per process (_technique_iii_margin), so a run at another
-    expansion point reuses it.
+    unless given, of the realization at the parameter means.  The reduced
+    system has the order r of V; its leading blocks are the reductions
+    onto V's leading columns.  The certificate, _technique_iii_margin(fom,
+    aps, F), does not depend on V, so it is computed apart from the
+    reduction: bench.stabilized_basis reports it once per projected system.
     """
-    mu_star = aps.nominal()
     n = aps.n
     m = _block_count(fom, n)
-    if F is None:
-        F = np.eye(n)
-    sys_star = eval_at(aps, mu_star)
-    M_star = solve_lyap_direct(sys_star.E, sys_star.A, F)
-
+    M_star = _m_star(aps, F)
     V = _as_columns(V, fom.n, "V")
-    EV = np.asarray(fom.E @ V)
     r = V.shape[1]
-    blocks = EV.reshape(m, n, r)
+    blocks = np.asarray(fom.E @ V).reshape(m, n, r)
     W = np.einsum("ij,bjr->bir", M_star, blocks).reshape(fom.n, r)
-
-    margin = _technique_iii_margin(fom, M_star)
-    return StabilizationOutcome(
-        technique="iii", reduced=reduce(fom, V, W),
-        diagnostics={"margin": margin, "mu_star": mu_star.tolist()})
+    return reduce(fom, V, W)
 
 
-def _technique_iii_margin(fom: LTISystem, M_star: np.ndarray) -> float:
-    """Largest eigenvalue of E^T (I (x) M*) A + (E^T (I (x) M*) A)^T,
-    computed at the first call for a (fom, M*) in this process and then
-    returned from _margin_cache, which is keyed by the content of both."""
-    m = _block_count(fom, M_star.shape[0])
-
-    def compute():
-        M_big = sp.kron(sp.identity(m, format="csr"),
-                        sp.csr_matrix(M_star), format="csr")
-        E_s = sp.csr_matrix(fom.E)
-        A_s = sp.csr_matrix(fom.A)
-        T = (E_s.T @ M_big) @ A_s
-        S = (T + T.T).tocsc()
-        if fom.n == 1:  # ARPACK needs k < n
-            return float(S[0, 0])
-        # a fixed start vector makes ARPACK, and so the margin, reproducible
-        val = spla.eigsh(S, k=1, which="LA", v0=np.ones(fom.n),
-                         return_eigenvectors=False)
-        return float(val[0])
-
-    return _cached(_margin_cache, _MARGIN_CACHE_SIZE, _digest(fom, M_star), compute)
+def _technique_iii_margin(fom: LTISystem, aps: AffineParamSystem, F=None) -> float:
+    """Technique iii's margin lambda_max(E^T (I (x) M*) A + transpose) for
+    the M* of technique_iii(fom, aps, V, F); a negative margin certifies
+    that every reduction from (W, V) is stable, for every V."""
+    m = _block_count(fom, aps.n)
+    M_big = sp.kron(sp.identity(m, format="csr"),
+                    sp.csr_matrix(_m_star(aps, F)), format="csr")
+    E_s = sp.csr_matrix(fom.E)
+    A_s = sp.csr_matrix(fom.A)
+    T = (E_s.T @ M_big) @ A_s
+    S = (T + T.T).tocsc()
+    if fom.n == 1:  # ARPACK needs k < n
+        return float(S[0, 0])
+    # a fixed start vector makes ARPACK, and so the margin, reproducible
+    val = spla.eigsh(S, k=1, which="LA", v0=np.ones(fom.n),
+                     return_eigenvectors=False)
+    return float(val[0])
 
 
 def theta_family(aps: AffineParamSystem, theta: float) -> AffineParamSystem:

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 import sgmor.bench
 import sgmor.mor
+import sgmor.stabilize
 import sgmor.systems
 from sgmor import (
     RunConfig,
@@ -15,6 +16,7 @@ from sgmor import (
     build_bandpass,
     build_basis,
     build_msd,
+    error_reference,
     eval_at,
     is_dissipative,
     monte_carlo_rule,
@@ -325,7 +327,7 @@ class TestRunExperiment:
         assert fom.E.nbytes < 2 ** 20
         assert fom.A.nbytes < 2 ** 20
         arn = arnoldi(fom.E, fom.A, fom.B, cfg.expansion_point, cfg.r_max)
-        report = stability_sweep(fom, reduce(fom, arn.V))
+        report = stability_sweep(reduce(fom, arn.V))
         assert len(report.rows) == 30
         assert report.failed_orders == []
         assert all(row.stable for row in report.rows)
@@ -384,7 +386,7 @@ class TestRunExperiment:
         assert len(orderings) == 33
         assert orderings.count("MMD_AT_PLUS_A") == 2
         assert orderings.count("NATURAL") == 31
-        sgmor.mor._reference_cache.clear()
+        sgmor.bench._reference.cache_clear()
         assert run_experiment(RunConfig(**cfg, expansion_point=0.9))["rows"] == warm
 
     def test_error_reference_follows_the_configuration(self, monkeypatch):
@@ -494,6 +496,54 @@ class TestProjectionCache:
         assert assemblies == [1]
 
 
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """The dimension of every matrix that stabilize hands to ARPACK."""
+    calls = []
+    eigsh = sgmor.stabilize.spla.eigsh
+
+    def counting(S, *args, **kwargs):
+        calls.append(S.shape[0])
+        return eigsh(S, *args, **kwargs)
+
+    monkeypatch.setattr(sgmor.stabilize.spla, "eigsh", counting)
+    return calls
+
+
+class TestMarginAndReferenceCaches:
+    """Technique iii's margin is kept per (model, degree, beta), and the
+    error reference per (model, degree, beta, error_nodes, omega_scale)."""
+
+    def test_new_expansion_point_reuses_the_margin(self, eigsh_calls):
+        base = dict(model="msd", degree=1, technique="iii", with_errors=False)
+        cold = run_experiment(RunConfig(**base, expansion_point=0.7))
+        assert eigsh_calls == [180]
+        warm = run_experiment(RunConfig(**base, expansion_point=0.9))
+        assert eigsh_calls == [180]
+        assert warm["diagnostics"] == cold["diagnostics"]
+
+    def test_margin_key_is_model_degree_and_beta(self, eigsh_calls):
+        base = dict(model="msd", degree=1, technique="iii", with_errors=False, r_max=3)
+        run_experiment(RunConfig(**base))
+        for change in (dict(degree=0), dict(beta=1e-5), dict(model="bpf")):
+            before = len(eigsh_calls)
+            run_experiment(RunConfig(**{**base, **change}))
+            assert len(eigsh_calls) == before + 1, change
+        run_experiment(RunConfig(**base, expansion_point=0.9))
+        assert len(eigsh_calls) == 4
+
+    def test_reference_arrays_are_read_only(self):
+        cfg = RunConfig(model="msd", degree=1)
+        reference = sgmor.bench._reference(cfg.model, cfg.degree, cfg.beta,
+                                           cfg.error_nodes, cfg.omega_scale)
+        assert reference is sgmor.bench._reference(cfg.model, cfg.degree, cfg.beta,
+                                                   cfg.error_nodes, cfg.omega_scale)
+        for a in (reference.omegas, reference.weights, reference.values):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+
 def assert_same_rows(rows, reference):
     """Two lists of sweep rows as run_experiment reports them: flags and
     notes equal, abscissas and H2 errors to 1e-12 relative."""
@@ -513,10 +563,9 @@ def uncapped_rows(cfg):
     """The sweep of cfg built from the pipeline's stages directly, outside
     run_experiment and so with SciPy's BLAS at its own thread count."""
     (_, _, fom), _, outcome = stabilized_basis(cfg, timings={})
-    sgmor.mor._reference_cache.clear()  # the reference too, uncapped
     rule = FrequencyRule.gauss(cfg.error_nodes, omega_scale=cfg.omega_scale)
     return [asdict(row) for row in
-            stability_sweep(fom, outcome.reduced, freq_rule=rule).rows]
+            stability_sweep(outcome.reduced, error_reference(fom, rule)).rows]
 
 
 class TestScipyBlasThreads:
@@ -571,7 +620,7 @@ class TestScipyBlasThreads:
         cfg = RunConfig(model="msd", degree=1, technique="i", r_max=10)
         rows = run_experiment(cfg)["rows"]
         monkeypatch.setattr(sgmor.systems, "_scipy_openblas", lambda: None)
-        sgmor.mor._reference_cache.clear()
+        sgmor.bench._reference.cache_clear()
         assert_same_rows(run_experiment(cfg)["rows"], rows)
 
     @pytest.mark.parametrize("model, degree, technique", [

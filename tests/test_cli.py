@@ -5,9 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-import sgmor.mor
-from sgmor import (FrequencyRule, LTISystem, RunConfig, load_system, save_system,
-                   stability_sweep)
+import sgmor.bench
+from sgmor import (FrequencyRule, LTISystem, RunConfig, error_reference, load_system,
+                   save_system, stability_sweep)
 from sgmor.cli import main
 
 
@@ -81,7 +81,7 @@ class TestAssembleReduce:
             assert extra[key] == getattr(cfg, key)
         assert main(["reduce", "--manifest", str(tmp_path / "fom"), "--rmax", "12",
                      "--out", str(tmp_path / "red")]) == 0
-        sgmor.mor._reference_cache.clear()  # bench evaluates its own reference
+        sgmor.bench._reference.cache_clear()  # bench evaluates its own reference
         assert main(["bench", model, "--degree", "1", "--rmax", "12",
                      "--out", str(tmp_path / "bench")]) == 0
         assert ((tmp_path / "red" / "sweep.csv").read_bytes()
@@ -97,6 +97,19 @@ class TestAssembleReduce:
         assert main(["reduce", "--manifest", str(tmp_path / "plain"), "--rmax", "3",
                      "--expansion-point", "0.7", "--no-errors",
                      "--out", str(tmp_path / "red")]) == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_reduce_refuses_a_nonfinite_expansion_point(self, capsys, tmp_path, value):
+        main(["assemble", "--model", "msd", "--degree", "0", "--out", str(tmp_path / "g")])
+        with pytest.raises(ValueError, match="expansion point must be finite"):
+            main(["reduce", "--manifest", str(tmp_path / "g"),
+                  f"--expansion-point={value}", "--out", str(tmp_path / "red")])
+
+    def test_reduce_refuses_a_nonfinite_error_scale(self, capsys, tmp_path):
+        main(["assemble", "--model", "msd", "--degree", "0", "--out", str(tmp_path / "g")])
+        with pytest.raises(ValueError, match="omega_scale must be finite"):
+            main(["reduce", "--manifest", str(tmp_path / "g"), "--rmax", "3",
+                  "--omega-scale", "inf", "--out", str(tmp_path / "red")])
 
     def test_assemble_degree_one_dimension(self, capsys, tmp_path):
         code = main(["assemble", "--model", "msd", "--degree", "1",
@@ -144,7 +157,7 @@ class TestStabilizeCommand:
         fom, _ = load_system(tmp_path / "fom")
         cfg = RunConfig(model="msd", technique=technique)
         rule = FrequencyRule.gauss(cfg.error_nodes, omega_scale=cfg.omega_scale)
-        assert (stability_sweep(fom, rom, freq_rule=rule).to_csv()
+        assert (stability_sweep(rom, error_reference(fom, rule)).to_csv()
                 == (tmp_path / "run" / "sweep.csv").read_text())
 
     def test_bpf_technique_i_stable_at_every_order(self, capsys, tmp_path):
@@ -160,7 +173,7 @@ class TestStabilizeCommand:
         assert not (tmp_path / "fac" / "W.txt").exists()
         assert np.loadtxt(tmp_path / "fac" / "V.txt").shape == (fom.n, 30)
         assert rom.n_out == fom.n_out
-        report = stability_sweep(fom, rom)
+        report = stability_sweep(rom)
         assert len(report.rows) == 30
         assert report.unstable_orders == []
         assert report.failed_orders == []
@@ -196,6 +209,12 @@ class TestH2ErrorCommand:
                          str(tmp_path / "b"), "--nodes", "400", *flags]) == 0
             values.append(float(capsys.readouterr().out.split(":")[1]))
         assert values[0] == values[1] != values[2]
+
+    def test_nonfinite_scale_refused(self, capsys, tmp_path):
+        main(["assemble", "--model", "msd", "--degree", "0", "--out", str(tmp_path / "g")])
+        with pytest.raises(ValueError, match="omega_scale must be finite"):
+            main(["h2error", "--fom", str(tmp_path / "g"), "--rom", str(tmp_path / "g"),
+                  "--omega-scale", "inf"])
 
 
 class TestArgumentErrors:

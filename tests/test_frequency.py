@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
+import sgmor.frequency
 from sgmor import FrequencyRule
 
 
@@ -35,6 +38,33 @@ class TestConstruction:
             FrequencyRule(omegas=np.array([0.1, 0.2]), weights=np.array([0.5]))
         with pytest.raises(ValueError, match="nonempty"):
             FrequencyRule(omegas=np.array([]), weights=np.array([]))
+
+    @pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_scale_refused_before_any_node(self, scale, monkeypatch):
+        computed = []
+        monkeypatch.setattr(sgmor.frequency, "gauss_legendre",
+                            lambda n: computed.append(n))
+        with pytest.raises(ValueError, match="omega_scale must be finite"):
+            FrequencyRule.gauss(8, omega_scale=scale)
+        assert computed == []
+        with pytest.raises(ValueError, match="omega_scale must be finite"):
+            FrequencyRule(omegas=np.array([0.1]), weights=np.array([1.0]),
+                          omega_scale=scale)
+
+    def test_overflowing_scale_refused_without_a_warning(self):
+        # 1e308 is finite, but its nodes and weights overflow to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="nodes and weights must be finite"):
+                FrequencyRule.gauss(4, omega_scale=1e308)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("which", ["omegas", "weights"])
+    def test_nonfinite_nodes_or_weights_refused(self, which, value):
+        arrays = dict(omegas=np.array([0.1, 0.2]), weights=np.array([0.5, 0.5]))
+        arrays[which][1] = value
+        with pytest.raises(ValueError, match="nodes and weights must be finite"):
+            FrequencyRule(**arrays)
 
 
 class TestIntegration:

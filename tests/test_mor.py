@@ -1,6 +1,4 @@
-import re
-import sys
-import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +10,7 @@ from sgmor import (
     FrequencyRule,
     LTISystem,
     arnoldi,
+    error_reference,
     h2_relative_error,
     pencil_spectrum,
     reduce,
@@ -71,6 +70,20 @@ class TestArnoldi:
         assert res.rank == 2
         assert_allclose(res.V.T @ res.V, np.eye(2), atol=1e-12)
         assert_allclose(res.V[2:, :], 0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("s0", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_expansion_point_refused(self, s0, monkeypatch):
+        # refused before any factorization, so no warning and no misleading
+        # "singular at s = nan" from the solver
+        factored = []
+        monkeypatch.setattr(sgmor.mor, "shifted_solver",
+                            lambda *args: factored.append(args))
+        fom = make_fom(np.random.default_rng(65), 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="expansion point must be finite"):
+                arnoldi(fom.E, fom.A, fom.B, s0=s0, r_max=3)
+        assert factored == []
 
     def test_r_max_clipped_to_dimension(self):
         rng = np.random.default_rng(63)
@@ -167,7 +180,8 @@ class TestStabilitySweep:
         rng = np.random.default_rng(72)
         fom = make_fom(rng, 30)
         res = arnoldi(fom.E, fom.A, fom.B, s0=0.5, r_max=10)
-        report = stability_sweep(fom, reduce(fom, res.V), freq_rule=FrequencyRule.gauss(100))
+        report = stability_sweep(reduce(fom, res.V),
+                                 error_reference(fom, FrequencyRule.gauss(100)))
         assert len(report.rows) == 10
         assert [row.r for row in report.rows] == list(range(1, 11))
         errs = [row.rel_h2_error for row in report.rows if row.stable]
@@ -179,7 +193,7 @@ class TestStabilitySweep:
         rng = np.random.default_rng(73)
         fom = make_fom(rng, 12)
         res = arnoldi(fom.E, fom.A, fom.B, s0=0.5, r_max=4)
-        report = stability_sweep(fom, reduce(fom, res.V))
+        report = stability_sweep(reduce(fom, res.V))
         assert all(row.rel_h2_error is None for row in report.rows)
 
     def test_failed_order_recorded_not_raised(self):
@@ -187,7 +201,7 @@ class TestStabilitySweep:
         fom = LTISystem(E=np.zeros((3, 3)), A=-np.eye(3), B=np.ones((3, 1)),
                         C=np.ones((1, 3)))
         V = np.eye(3)[:, :2]
-        report = stability_sweep(fom, reduce(fom, V))
+        report = stability_sweep(reduce(fom, V))
         assert all(not row.stable for row in report.rows)
         assert all(row.note is not None for row in report.rows)
         assert all(np.isnan(row.abscissa) for row in report.rows)
@@ -230,7 +244,7 @@ class TestStabilitySweep:
             absc.append(a)
             errs.append(np.sqrt(energy(H - on_grid(red)) / energy(H)))
 
-        report = stability_sweep(fom, reduce(fom, V, W), freq_rule=rule)
+        report = stability_sweep(reduce(fom, V, W), error_reference(fom, rule))
         assert report.failed_orders == []
         assert [row.stable for row in report.rows] == flags
         assert_allclose([row.abscissa for row in report.rows], absc, rtol=1e-12)
@@ -245,34 +259,21 @@ class TestStabilitySweep:
         res = arnoldi(fom.E, fom.A, fom.B, s0=0.5, r_max=4)
         reference = make_fom(rng, 12, n_out=2)
         with pytest.raises(ValueError, match="input/output counts"):
-            stability_sweep(reference, reduce(fom, res.V),
-                            freq_rule=FrequencyRule.gauss(20))
+            stability_sweep(reduce(fom, res.V),
+                            error_reference(reference, FrequencyRule.gauss(20)))
 
     def test_counts_and_unstable_orders(self):
         E = np.eye(2)
         fom_stable = LTISystem(E=E, A=-np.eye(2), B=np.ones((2, 1)),
                                C=np.ones((1, 2)))
-        report = stability_sweep(fom_stable, reduce(fom_stable, np.eye(2)))
+        report = stability_sweep(reduce(fom_stable, np.eye(2)))
         assert report.n_stable == 2
         assert report.unstable_orders == []
 
 
-class TestErrorReferenceCache:
-    """The full-order side of the H2 errors is evaluated once per distinct
-    (system, rule) in a process and reused from sgmor.mor's cache."""
-
-    @pytest.fixture
-    def evaluations(self, monkeypatch):
-        """The systems whose transfer values mor computes, full and reduced."""
-        seen = []
-        transfer_on_grid = sgmor.mor.transfer_on_grid
-
-        def spy(sys, omegas):
-            seen.append(sys)
-            return transfer_on_grid(sys, omegas)
-
-        monkeypatch.setattr(sgmor.mor, "transfer_on_grid", spy)
-        return seen
+class TestErrorReference:
+    """error_reference evaluates the full-order side of the errors once; a
+    caller that sweeps one system many times passes the same value."""
 
     @pytest.fixture
     def sparse_case(self):
@@ -283,139 +284,43 @@ class TestErrorReferenceCache:
         rom = reduce(fom, arnoldi(fom.E, fom.A, fom.B, s0=0.5, r_max=6).V)
         return fom, rom
 
-    def test_second_sweep_reuses_the_reference(self, sparse_case, evaluations):
+    def test_two_sweeps_evaluate_the_full_grid_once(self, sparse_case, monkeypatch):
         fom, rom = sparse_case
+        evaluated = []
+        transfer_on_grid = sgmor.mor.transfer_on_grid
+
+        def spy(sys, omegas):
+            evaluated.append(sys.n)
+            return transfer_on_grid(sys, omegas)
+
+        monkeypatch.setattr(sgmor.mor, "transfer_on_grid", spy)
         rule = FrequencyRule.gauss(40)
-        cold = stability_sweep(fom, rom, freq_rule=rule)
-        # a copy with equal contents is the same reference
-        copy = LTISystem(E=fom.E.copy(), A=fom.A.copy(), B=fom.B.copy(),
-                         C=fom.C.copy())
-        warm = stability_sweep(copy, rom, freq_rule=rule)
-        # h2_relative_error shares the cache with the sweep
-        assert h2_relative_error(copy, rom, rule) == cold.rows[-1].rel_h2_error
-        assert [sys.n for sys in evaluations].count(fom.n) == 1
-        assert warm.rows == cold.rows
+        reference = error_reference(fom, rule)
+        first = stability_sweep(rom, reference)
+        second = stability_sweep(rom, reference)
+        assert evaluated.count(fom.n) == 1
+        assert second.rows == first.rows
+        # h2_relative_error takes the same path with a reference of its own
+        assert h2_relative_error(fom, rom, rule) == first.rows[-1].rel_h2_error
+        assert evaluated.count(fom.n) == 2
 
-    def test_entries_are_read_only(self, sparse_case):
-        fom, rom = sparse_case
-        stability_sweep(fom, rom, freq_rule=FrequencyRule.gauss(40))
-        (ref_vals, den), = sgmor.mor._reference_cache.values()
-        assert not ref_vals.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            ref_vals[0] = 0.0
-        assert den > 0
-
-    def test_changed_system_or_rule_misses(self, sparse_case, evaluations):
-        fom, rom = sparse_case
+    def test_arrays_are_read_only(self, sparse_case):
+        fom, _ = sparse_case
         rule = FrequencyRule.gauss(40)
-        stability_sweep(fom, rom, freq_rule=rule)
-        E = fom.E.copy()
-        E.data[0] = np.nextafter(E.data[0], np.inf)  # one entry, one ulp
-        changed = LTISystem(E=E, A=fom.A, B=fom.B, C=fom.C)
-        others = (
-            (changed, rule),
-            (fom, FrequencyRule.gauss(41)),
-            (fom, FrequencyRule.gauss(40, omega_scale=2.0)),
-            # the same operator in another container: dense E and A
-            (LTISystem(E=fom.E.toarray(), A=fom.A.toarray(), B=fom.B, C=fom.C), rule),
-        )
-        for reference, other_rule in others:
-            before = len(evaluations)
-            stability_sweep(reference, rom, freq_rule=other_rule)
-            assert evaluations[before] is reference
+        reference = error_reference(fom, rule)
+        assert reference.values.shape == (20, 2, 1)
+        assert reference.energy > 0
+        for a in (reference.omegas, reference.weights, reference.values):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        # the rule's own arrays stay the caller's
+        assert rule.omegas.flags.writeable
 
-    def test_oldest_entry_evicted_at_the_bound(self, sparse_case, evaluations):
-        fom, rom = sparse_case
-        bound = sgmor.mor._REFERENCE_CACHE_SIZE
-        rules = [FrequencyRule.gauss(20 + j) for j in range(bound + 1)]
-        for rule in rules:
-            stability_sweep(fom, rom, freq_rule=rule)
-        assert len(sgmor.mor._reference_cache) == bound
-
-        def full_evaluations():
-            return sum(sys is fom for sys in evaluations)
-
-        stability_sweep(fom, rom, freq_rule=rules[-1])  # newest: kept
-        assert full_evaluations() == bound + 1
-        stability_sweep(fom, rom, freq_rule=rules[0])  # oldest: evicted
-        assert full_evaluations() == bound + 2
-
-    def test_count_check_runs_first_on_a_hit(self, sparse_case, evaluations):
-        fom, rom = sparse_case
-        rule = FrequencyRule.gauss(40)
-        stability_sweep(fom, rom, freq_rule=rule)
-        one_output = LTISystem(E=rom.E, A=rom.A, B=rom.B, C=rom.C[:1])
-        before = len(evaluations)
-        with pytest.raises(ValueError, match="input/output counts"):
-            stability_sweep(fom, one_output, freq_rule=rule)
-        with pytest.raises(ValueError, match="input/output counts"):
-            h2_relative_error(fom, one_output, rule)
-        assert len(evaluations) == before
-
-    def test_zero_response_refused_on_a_hit(self, evaluations):
+    def test_zero_response_refused(self):
         fom = LTISystem(E=np.eye(3), A=-np.eye(3), B=np.ones((3, 1)),
                         C=np.zeros((1, 3)))
-        rom = reduce(fom, np.eye(3)[:, :2])
-        rule = FrequencyRule.gauss(20)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="zero response"):
-                stability_sweep(fom, rom, freq_rule=rule)
-        assert evaluations == [fom]
-
-    def test_failed_reference_stores_nothing(self, evaluations):
-        # s E - A is exactly singular at s = i w, the third grid point
-        rule = FrequencyRule.gauss(8)
-        w = rule.half()[0][2]
-        A = sp.block_diag([sp.diags([-1.0, -2.0]), sp.csr_matrix([[0.0, w], [-w, 0.0]])],
-                          format="csr")
-        fom = LTISystem(E=sp.identity(4, format="csr"), A=A, B=np.ones((4, 1)),
-                        C=np.ones((1, 4)))
-        rom = reduce(fom, np.eye(4)[:, :2])
-        for _ in range(2):
-            with pytest.raises(ValueError, match=re.escape(str(1j * w))):
-                stability_sweep(fom, rom, freq_rule=rule)
-            assert sgmor.mor._reference_cache == {}
-        assert evaluations == [fom, fom]
-
-
-class _SlowKey:
-    """A key whose hashing runs Python code, where threads can switch."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __eq__(self, other):
-        return self.value == other.value
-
-
-def test_bounded_cache_under_concurrent_inserts():
-    # two threads inserting past the bound must not both evict the same
-    # oldest entry (KeyError) or iterate a dict another one resizes
-    cache, size, errors = {}, 4, []
-
-    def insert(offset):
-        try:
-            for j in range(20000):
-                sgmor.mor._cached(cache, size, _SlowKey((offset, j)), lambda: j)
-        except Exception as exc:
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=insert, args=(t,)) for t in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert len(cache) == size
+        with pytest.raises(ValueError, match="zero response"):
+            error_reference(fom, FrequencyRule.gauss(20))
 
 
 class TestCsv:
@@ -423,7 +328,8 @@ class TestCsv:
         rng = np.random.default_rng(75)
         fom = make_fom(rng, 20)
         res = arnoldi(fom.E, fom.A, fom.B, s0=0.5, r_max=5)
-        report = stability_sweep(fom, reduce(fom, res.V), freq_rule=FrequencyRule.gauss(50))
+        report = stability_sweep(reduce(fom, res.V),
+                                 error_reference(fom, FrequencyRule.gauss(50)))
         text = report.to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == "r,stable,abscissa,rel_h2_error"
@@ -444,6 +350,6 @@ class TestCsv:
         fom2 = make_fom(rng2, 15)
         res1 = arnoldi(fom1.E, fom1.A, fom1.B, s0=0.5, r_max=4)
         res2 = arnoldi(fom2.E, fom2.A, fom2.B, s0=0.5, r_max=4)
-        t1 = stability_sweep(fom1, reduce(fom1, res1.V)).to_csv()
-        t2 = stability_sweep(fom2, reduce(fom2, res2.V)).to_csv()
+        t1 = stability_sweep(reduce(fom1, res1.V)).to_csv()
+        t2 = stability_sweep(reduce(fom2, res2.V)).to_csv()
         assert t1 == t2

@@ -3,8 +3,6 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-import sgmor.stabilize
-
 from sgmor import (
     AffineParamSystem,
     Distribution,
@@ -263,7 +261,7 @@ class TestTechniqueI:
         assert out.technique == "i"
         assert out.reduced.n == res.V.shape[1]
         assert out.diagnostics["nodes"] == 64
-        report = stability_sweep(fom, out.reduced)
+        report = stability_sweep(out.reduced)
         assert all(row.stable for row in report.rows)
 
     def test_reduced_pencil_is_dissipative(self):
@@ -307,7 +305,7 @@ class TestTechniqueII:
         basis = build_basis(aps.dists, 2)
         fom_t = technique_ii(aps, basis, monte_carlo_rule(aps.dists, 50, seed=3))
         res = arnoldi(fom_t.E, fom_t.A, fom_t.B, r_max=6, s0=1.0)
-        report = stability_sweep(fom_t, reduce(fom_t, res.V))
+        report = stability_sweep(reduce(fom_t, res.V))
         assert all(row.stable for row in report.rows)
 
 
@@ -397,36 +395,33 @@ class TestTechniqueIII:
         frozen = theta_family(aps, 0.0)
         basis = build_basis(frozen.dists, 1)
         fom = assemble(frozen, basis)
-        res = arnoldi(fom.E, fom.A, fom.B, r_max=4, s0=1.0)
-        out = technique_iii(fom, frozen, res.V, F=F)
         lam_min_F = np.linalg.eigvalsh(F)[0]
-        assert_allclose(out.diagnostics["margin"], -lam_min_F, atol=1e-8)
+        assert_allclose(_technique_iii_margin(fom, frozen, F), -lam_min_F, atol=1e-8)
 
     def test_negative_margin_certifies_stability(self):
         rng = np.random.default_rng(57)
         aps = stable_family(rng, 4, 2, part_scale=0.02)
         fom = assemble(aps, build_basis(aps.dists, 1))
         res = arnoldi(fom.E, fom.A, fom.B, r_max=8, s0=1.0)
-        out = technique_iii(fom, aps, res.V)
-        assert out.diagnostics["margin"] < 0
-        report = stability_sweep(fom, out.reduced)
+        assert _technique_iii_margin(fom, aps) < 0
+        report = stability_sweep(technique_iii(fom, aps, res.V))
         assert all(row.stable for row in report.rows)
 
     def test_reduced_system_is_blockwise_projection(self):
-        # out.reduced is the Petrov-Galerkin reduction with W = (I (x) M*) E V
+        # technique_iii's reduced system is the Petrov-Galerkin reduction
+        # with W = (I (x) M*) E V
         rng = np.random.default_rng(58)
         aps = stable_family(rng, 4, 2)
         fom = assemble(aps, build_basis(aps.dists, 2))
         res = arnoldi(fom.E, fom.A, fom.B, r_max=8, s0=1.0)
         out = technique_iii(fom, aps, res.V)
-        assert out.technique == "iii"
         at_mean = eval_at(aps, aps.nominal())
         M_star = solve_lyap_direct(at_mean.E, at_mean.A, np.eye(aps.n))
         m = fom.n // aps.n
         W = np.kron(np.eye(m), M_star) @ (fom.E @ res.V)
         ref = reduce(fom, res.V, W)
         for name in "EABC":
-            got, want = getattr(out.reduced, name), getattr(ref, name)
+            got, want = getattr(out, name), getattr(ref, name)
             assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
     def test_block_count_must_divide(self):
@@ -439,9 +434,8 @@ class TestTechniqueIII:
         V = np.linalg.qr(rng.standard_normal((other.n, 2)))[0]
         with pytest.raises(ValueError, match="not a multiple"):
             technique_iii(other, aps, V)
-        M_star = np.eye(aps.n)
         with pytest.raises(ValueError, match="not a multiple"):
-            _technique_iii_margin(other, M_star)
+            _technique_iii_margin(other, aps)
 
     @pytest.mark.parametrize("case", ["msd-1", "bpf-1", "one-state"])
     def test_margin_matches_dense_eigenvalue(self, case):
@@ -458,73 +452,12 @@ class TestTechniqueIII:
         E, A = fom.E.toarray(), fom.A.toarray()
         T = E.T @ np.kron(np.eye(fom.n // aps.n), M_star) @ A
         expected = np.linalg.eigvalsh(T + T.T)[-1]
-        assert_allclose(_technique_iii_margin(fom, M_star), expected, rtol=1e-12)
+        assert_allclose(_technique_iii_margin(fom, aps), expected, rtol=1e-12)
 
     def test_sparse_margin_reproducible(self):
         # ARPACK with a random start vector differed in the last digits
         # between calls on BPF degree 2 (dimension 6900)
         aps = regularize_affine(build_bandpass(), DEFAULT_BETA)
         fom = assemble(aps, build_basis(aps.dists, 2))
-        at_mean = eval_at(aps, aps.nominal())
-        M_star = solve_lyap_direct(at_mean.E, at_mean.A, np.eye(aps.n))
-        first = _technique_iii_margin(fom, M_star)
-        sgmor.stabilize._margin_cache.clear()  # compute it again
-        assert _technique_iii_margin(fom, M_star) == first
-
-
-@pytest.fixture
-def eigsh_calls(monkeypatch):
-    """The dimension of every matrix that stabilize hands to ARPACK."""
-    calls = []
-    eigsh = sgmor.stabilize.spla.eigsh
-
-    def counting(S, *args, **kwargs):
-        calls.append(S.shape[0])
-        return eigsh(S, *args, **kwargs)
-
-    monkeypatch.setattr(sgmor.stabilize.spla, "eigsh", counting)
-    return calls
-
-
-@pytest.fixture
-def margin_case():
-    """A projected stable family of 3 blocks of 4 states and its M*."""
-    aps = stable_family(np.random.default_rng(61), 4, 2)
-    fom = assemble(aps, build_basis(aps.dists, 1))
-    at_mean = eval_at(aps, aps.nominal())
-    return fom, solve_lyap_direct(at_mean.E, at_mean.A, np.eye(aps.n))
-
-
-class TestMarginCache:
-    def test_content_equal_inputs_hit(self, margin_case, eigsh_calls):
-        fom, M_star = margin_case
-        first = _technique_iii_margin(fom, M_star)
-        copy = LTISystem(E=fom.E.copy(), A=fom.A.copy(), B=fom.B.copy(),
-                         C=fom.C.copy())
-        assert _technique_iii_margin(copy, M_star.copy()) is first
-        assert eigsh_calls == [fom.n]
-
-    def test_changed_system_or_m_star_misses(self, margin_case, eigsh_calls):
-        fom, M_star = margin_case
-        first = _technique_iii_margin(fom, M_star)
-        A = fom.A.copy()
-        A.data[0] = np.nextafter(A.data[0], np.inf)  # one entry, one ulp
-        changed = LTISystem(E=fom.E, A=A, B=fom.B, C=fom.C)
-        for system, M in ((changed, M_star), (fom, 2.0 * M_star)):
-            before = len(eigsh_calls)
-            assert _technique_iii_margin(system, M) is not first
-            assert len(eigsh_calls) == before + 1
-        assert _technique_iii_margin(fom, M_star) is first
-        assert len(eigsh_calls) == 3
-
-    def test_oldest_entry_evicted_at_the_bound(self, margin_case, eigsh_calls):
-        fom, M_star = margin_case
-        bound = sgmor.stabilize._MARGIN_CACHE_SIZE
-        scales = [1.0 + j for j in range(bound + 1)]
-        for c in scales:
-            _technique_iii_margin(fom, c * M_star)
-        assert len(sgmor.stabilize._margin_cache) == bound
-        _technique_iii_margin(fom, scales[-1] * M_star)  # newest: kept
-        assert len(eigsh_calls) == bound + 1
-        _technique_iii_margin(fom, scales[0] * M_star)  # oldest: evicted
-        assert len(eigsh_calls) == bound + 2
+        first = _technique_iii_margin(fom, aps)
+        assert _technique_iii_margin(fom, aps) == first
