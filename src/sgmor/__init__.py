@@ -17,7 +17,7 @@ from .systems import (AffineParamSystem, DissipativityCheck,
 from .galerkin import assemble, assemble_output, assemble_via_quadrature
 from .lyapunov import freq_projection, solve_lyap_direct
 from .stabilize import (StabilizationOutcome, regularize, regularize_affine,
-                        technique_i, technique_ii, technique_iii, theta_family)
+                        technique_i, technique_ii, technique_iii)
 from .mor import (ArnoldiResult, ErrorReference, StabilityReport, SweepRow, arnoldi,
                   error_reference, h2_relative_error, reduce, stability_sweep)
 from .bench import RunConfig, build_bandpass, build_msd, run_experiment

@@ -57,27 +57,36 @@ BPF_SHUNT_LOSS = (25.0, 25.0, 25.0, 25.0)
 MSD_VARIATION = 0.10
 BPF_VARIATION = 0.20
 
-
-def _uniform_about(nominal: float, variation: float) -> Distribution:
-    return Distribution.uniform(nominal * (1 - variation), nominal * (1 + variation))
-
-
 # Spring and damper incidence of the chain; None is the fixed wall.
-_SPRING_PAIRS = ((None, 0), (0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (2, 4))
-_DAMPER_PAIRS = ((None, 0), (0, 1), (1, 2), (2, 3), (3, 4))
+_SPRING_PAIRS = ((0, None), (0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (2, 4))
+_DAMPER_PAIRS = ((0, None), (0, 1), (1, 2), (2, 3), (3, 4))
 
 
-def _stamp_graph(pairs, which):
-    K = np.zeros((5, 5))
-    a, b = pairs[which]
-    if a is None:
-        K[b, b] = 1.0
-    else:
-        K[a, a] += 1.0
-        K[b, b] += 1.0
-        K[a, b] -= 1.0
-        K[b, a] -= 1.0
+def _stamp(n, p, q=None, at=(0, 0)):
+    """n x n pattern of a two-terminal element between nodes p and q, or
+    between p and ground when q is None: +1 at (p, p) and (q, q), -1 at
+    (p, q) and (q, p), each entry moved by at = (rows, columns)."""
+    K = np.zeros((n, n))
+    r, c = at
+    K[r + p, c + p] = 1.0
+    if q is not None:
+        K[r + q, c + q] = 1.0
+        K[r + p, c + q] = K[r + q, c + p] = -1.0
     return K
+
+
+def _element_family(rows, variation, E0, A0, B0, C0) -> AffineParamSystem:
+    """The family of constant matrices E0, A0, B0, C0 and one parameter per
+    row (nominal, E part, A part, B part), each uniform on
+    nominal * (1 +- variation); no parameter enters C."""
+    nominals, E_parts, A_parts, B_parts = zip(*rows)
+    return AffineParamSystem(
+        E0=E0, A0=A0, B0=B0, C0=C0,
+        E_parts=E_parts, A_parts=A_parts, B_parts=B_parts,
+        C_parts=(None,) * len(rows),
+        dists=tuple(Distribution.uniform(v * (1 - variation), v * (1 + variation))
+                    for v in nominals),
+    )
 
 
 def build_msd() -> AffineParamSystem:
@@ -97,44 +106,18 @@ def build_msd() -> AffineParamSystem:
     B0 = np.zeros((n, 1))
     C0 = np.zeros((1, n))
     C0[0, 4] = 1.0
-
-    E_parts, A_parts, B_parts, C_parts, dists = [], [], [], [], []
-    for i, m_val in enumerate(MSD_MASSES):
-        Ep = np.zeros((n, n))
-        Ep[5 + i, 5 + i] = 1.0
-        E_parts.append(Ep)
-        A_parts.append(None)
-        B_parts.append(None)
-        C_parts.append(None)
-        dists.append(_uniform_about(m_val, MSD_VARIATION))
-    for s, k_val in enumerate(MSD_SPRINGS):
-        Ap = np.zeros((n, n))
-        Ap[5:, :5] = -_stamp_graph(_SPRING_PAIRS, s)
-        E_parts.append(None)
-        A_parts.append(Ap)
-        if s == 0:
-            Bp = np.zeros((n, 1))
-            Bp[5, 0] = 1.0
-            B_parts.append(Bp)
-        else:
-            B_parts.append(None)
-        C_parts.append(None)
-        dists.append(_uniform_about(k_val, MSD_VARIATION))
-    for d, d_val in enumerate(MSD_DAMPERS):
-        Ap = np.zeros((n, n))
-        Ap[5:, 5:] = -_stamp_graph(_DAMPER_PAIRS, d)
-        E_parts.append(None)
-        A_parts.append(Ap)
-        B_parts.append(None)
-        C_parts.append(None)
-        dists.append(_uniform_about(d_val, MSD_VARIATION))
-
-    return AffineParamSystem(
-        E0=E0, A0=A0, B0=B0, C0=C0,
-        E_parts=tuple(E_parts), A_parts=tuple(A_parts),
-        B_parts=tuple(B_parts), C_parts=tuple(C_parts),
-        dists=tuple(dists),
-    )
+    B_wall = np.zeros((n, 1))
+    B_wall[5, 0] = 1.0
+    # every element sits in the force rows 5-9: a spring in the position
+    # columns 0-4, a mass and a damper in the velocity columns 5-9
+    positions, velocities = (5, 0), (5, 5)
+    rows = [(m, _stamp(n, i, at=velocities), None, None)
+            for i, m in enumerate(MSD_MASSES)]
+    rows += [(k, None, -_stamp(n, p, q, at=positions), B_wall if q is None else None)
+             for k, (p, q) in zip(MSD_SPRINGS, _SPRING_PAIRS)]
+    rows += [(d, None, -_stamp(n, p, q, at=velocities), None)
+             for d, (p, q) in zip(MSD_DAMPERS, _DAMPER_PAIRS)]
+    return _element_family(rows, MSD_VARIATION, E0, A0, B0, C0)
 
 
 def build_bandpass() -> AffineParamSystem:
@@ -173,88 +156,26 @@ def build_bandpass() -> AffineParamSystem:
 
     # constant incidences in the symmetric convention: flux and source branch
     # rows carry a minus sign, making A symmetric and E indefinite block
-    # diagonal (capacitance block, minus inductance block)
-    for b in range(3):
-        p = junction[b]
-        A0[p, i_series[b]] = -1.0
-        A0[w1[b], i_series[b]] = 1.0
-        A0[i_series[b], p] = -1.0
-        A0[i_series[b], w1[b]] = 1.0
-    for t in range(4):
-        j = junction[t]
-        A0[j, i_shunt[t]] = -1.0
-        A0[tank[t], i_shunt[t]] = 1.0
-        A0[i_shunt[t], j] = -1.0
-        A0[i_shunt[t], tank[t]] = 1.0
-    A0[ns, i_src] = 1.0
-    A0[i_src, ns] = 1.0
+    # diagonal (capacitance block, minus inductance block); an inductor
+    # branch, series then shunt, runs from a junction p to a node w
+    for p, w, i in zip(junction[:3] + junction, w1 + tank, i_series + i_shunt):
+        A0[p, i] = A0[i, p] = -1.0
+        A0[w, i] = A0[i, w] = 1.0
+    A0[ns, i_src] = A0[i_src, ns] = 1.0
     B0[i_src, 0] = -1.0
 
-    E_parts, A_parts, dists = [], [], []
-
-    def cap_stamp(p, q):
-        Ep = np.zeros((n, n))
-        Ep[p, p] += 1.0
-        if q is not None:
-            Ep[q, q] += 1.0
-            Ep[p, q] -= 1.0
-            Ep[q, p] -= 1.0
-        return Ep
-
-    def cond_stamp(p, q):
-        Ap = np.zeros((n, n))
-        Ap[p, p] -= 1.0
-        if q is not None:
-            Ap[q, q] -= 1.0
-            Ap[p, q] += 1.0
-            Ap[q, p] += 1.0
-        return Ap
-
-    # capacitances: 3 series then 4 shunt
-    for b, c_val in enumerate(BPF_SERIES_C):
-        E_parts.append(cap_stamp(w2[b], junction[b + 1]))
-        A_parts.append(None)
-        dists.append(_uniform_about(c_val, BPF_VARIATION))
-    for t, c_val in enumerate(BPF_SHUNT_C):
-        E_parts.append(cap_stamp(junction[t], None))
-        A_parts.append(None)
-        dists.append(_uniform_about(c_val, BPF_VARIATION))
-    # inductances: 3 series then 4 shunt (negated rows, see above)
-    for b, l_val in enumerate(BPF_SERIES_L):
-        Ep = np.zeros((n, n))
-        Ep[i_series[b], i_series[b]] = -1.0
-        E_parts.append(Ep)
-        A_parts.append(None)
-        dists.append(_uniform_about(l_val, BPF_VARIATION))
-    for t, l_val in enumerate(BPF_SHUNT_L):
-        Ep = np.zeros((n, n))
-        Ep[i_shunt[t], i_shunt[t]] = -1.0
-        E_parts.append(Ep)
-        A_parts.append(None)
-        dists.append(_uniform_about(l_val, BPF_VARIATION))
-    # conductances: source, load, 3 series losses, 4 shunt losses
-    E_parts.append(None)
-    A_parts.append(cond_stamp(ns, junction[0]))
-    dists.append(_uniform_about(BPF_SOURCE_G, BPF_VARIATION))
-    E_parts.append(None)
-    A_parts.append(cond_stamp(junction[3], None))
-    dists.append(_uniform_about(BPF_LOAD_G, BPF_VARIATION))
-    for b, g_val in enumerate(BPF_SERIES_LOSS):
-        E_parts.append(None)
-        A_parts.append(cond_stamp(w1[b], w2[b]))
-        dists.append(_uniform_about(g_val, BPF_VARIATION))
-    for t, g_val in enumerate(BPF_SHUNT_LOSS):
-        E_parts.append(None)
-        A_parts.append(cond_stamp(tank[t], None))
-        dists.append(_uniform_about(g_val, BPF_VARIATION))
-
-    none_parts = tuple([None] * len(dists))
-    return AffineParamSystem(
-        E0=E0, A0=A0, B0=B0, C0=C0,
-        E_parts=tuple(E_parts), A_parts=tuple(A_parts),
-        B_parts=none_parts, C_parts=none_parts,
-        dists=tuple(dists),
-    )
+    # capacitances stamp E (series: w2 to the next junction; shunt: junction
+    # to ground), inductances their negated flux rows, and conductances A
+    # with a minus sign (source node to the first junction, load junction to
+    # ground, series losses w1 to w2, shunt losses tank to ground)
+    rows = [(c, _stamp(n, p, q), None, None) for c, p, q in
+            zip(BPF_SERIES_C + BPF_SHUNT_C, w2 + junction, junction[1:] + (None,) * 4)]
+    rows += [(ell, -_stamp(n, i), None, None)
+             for ell, i in zip(BPF_SERIES_L + BPF_SHUNT_L, i_series + i_shunt)]
+    rows += [(g, None, -_stamp(n, p, q), None) for g, p, q in
+             zip((BPF_SOURCE_G, BPF_LOAD_G) + BPF_SERIES_LOSS + BPF_SHUNT_LOSS,
+                 (ns, junction[3]) + w1 + tank, (junction[0], None) + w2 + (None,) * 4)]
+    return _element_family(rows, BPF_VARIATION, E0, A0, B0, C0)
 
 
 # Builder and pipeline defaults of each family; RunConfig fills its unset

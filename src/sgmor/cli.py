@@ -94,14 +94,16 @@ def _cmd_reduce(args) -> int:
     if s0 is None:
         raise SystemExit(f"{args.manifest} records no expansion point; "
                          "pass --expansion-point")
+    # the error grid is built first, so a bad one is refused before any solve
+    rule = None
+    if getattr(args, "with_errors", RunConfig.with_errors):
+        rule = _error_rule(args, extra)
     arn = arnoldi(sys_full.E, sys_full.A, sys_full.B, s0,
                   getattr(args, "r_max", RunConfig.r_max))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     np.savetxt(out_dir / "V.txt", arn.V)
-    reference = None
-    if getattr(args, "with_errors", RunConfig.with_errors):
-        reference = error_reference(sys_full, _error_rule(args, extra))
+    reference = None if rule is None else error_reference(sys_full, rule)
     report = stability_sweep(reduce(sys_full, arn.V), reference)
     report.to_csv(out_dir / "sweep.csv")
     print(f"Krylov basis of rank {arn.rank}"

@@ -1,16 +1,15 @@
 """Generalized Lyapunov equations and frequency-domain projected solutions.
 
 Solves A^T M E + E^T M A + F = 0 for stable pencils with nonsingular E.
-Besides the dense direct solve there is a quadrature variant that never forms
-M: from the integral representation
-M = (1/2pi) int (i w E - A)^-H F (i w E - A)^-1 dw it computes the projected
+Besides the dense direct solve there is a quadrature variant for F = I that
+never forms M: from the integral representation
+M = (1/2pi) int (i w E - A)^-H (i w E - A)^-1 dw it computes the projected
 pencil V^T E^T M (E V, A V) and V^T E^T M X directly, which is what
 technique i's stabilized reduced models are.
 """
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .frequency import FrequencyRule
 # pencil_spectrum is unused here; perfbench/tracer.py wraps it by this attribute
@@ -79,22 +78,23 @@ def solve_lyap_direct(E, A, F) -> np.ndarray:
     return M[0] if single else M
 
 
-def freq_projection(E, A, F, V, rule: FrequencyRule, X):
+def freq_projection(E, A, V, rule: FrequencyRule, X):
     """(V^T E^T M E V, V^T E^T M A V, V^T E^T M X) by frequency-domain
-    quadrature, without forming M or M E V.
+    quadrature, without forming M or M E V, for the M that solves
+    A^T M E + E^T M A + I = 0.
 
     At each node K = i w E - A is factored once and solved forward once,
     Y = K^-1 [E V, X] with r + k right-hand sides (V is n x r, X n x k).
     Since A = i w E - K, K^-1 A V = i w Y_V - V, so the node's terms are
-    Re Y_V^H F Y_V, Re Y_V^H F (i w Y_V - V) and Re Y_V^H F Y_X.  Their
-    r x (r + k) product Y_V^H F Y is one gemm of SciPy's BLAS, the OpenBLAS
+    Re Y_V^H Y_V, Re Y_V^H (i w Y_V - V) and Re Y_V^H Y_X.  Their
+    r x (r + k) product Y_V^H Y is one gemm of SciPy's BLAS, the OpenBLAS
     SuperLU solves with, which a pipeline call keeps on one thread
     (systems._scipy_blas_serial).  Numpy's @ would hand it to NumPy's own
     OpenBLAS, which keeps its threads: on a 2-core machine that library's
     second thread then used 0.36-0.39 instead of 0.14 CPU-s of an MSD
-    degree 2 technique-i call.  The part Re Y_V^H F V = Re(Y_V)^T F V is
+    degree 2 technique-i call.  The part Re Y_V^H V = Re(Y_V)^T V is
     linear in Y_V, so the nodes add up Re Y_V in one n x r sum, which meets
-    F V once at the end.
+    V once at the end.
     A sparse pencil is ordered once, at the first node.  The first result
     is symmetrized, so it is exactly symmetric; with X = I the third is W^T
     for W = M E V.  The pencil (E, A) must be asymptotically stable with
@@ -106,7 +106,6 @@ def freq_projection(E, A, F, V, rule: FrequencyRule, X):
     r = V.shape[1]
     solver = _pencil(E, A)
     rhs = np.hstack([np.asarray(E @ V), X])
-    F = sp.csr_matrix(F)  # F Y without numpy's BLAS, dense F too
     gemm = sla.get_blas_funcs("gemm", dtype=complex)
     G_sum, G_moment = np.zeros((r, rhs.shape[1]), complex), np.zeros((r, r))
     Y_sum = np.zeros((n, r), order="F")
@@ -115,14 +114,13 @@ def freq_projection(E, A, F, V, rule: FrequencyRule, X):
         # one call per node frees its factorization before the next is made
         Y = solver(1j * om)(rhs)
         Y_sum += weight * Y[:, :r].real
-        # Y_V^H F Y as the transpose of (F Y)^T conj(Y_V): F Y comes out C
-        # ordered, so BLAS reads its transpose without a copy
-        G = gemm(1.0, (F @ Y).T, Y[:, :r].T, trans_b=2).T
+        # Y_V^H Y as the transpose of Y^T conj(Y_V)
+        G = gemm(1.0, Y.T, Y[:, :r].T, trans_b=2).T
         G_sum += weight * G
         G_moment += (weight * om) * G[:, :r].imag
         del Y  # the next node's solution is made without this one
-    YFV = sla.get_blas_funcs("gemm", dtype=float)(1.0, Y_sum, F @ V, trans_a=1)
+    YV = sla.get_blas_funcs("gemm", dtype=float)(1.0, Y_sum, V, trans_a=1)
     scale = 1.0 / (2.0 * np.pi)
     E_r = G_sum[:, :r].real
-    return (scale * 0.5 * (E_r + E_r.T), -scale * (G_moment + YFV),
+    return (scale * 0.5 * (E_r + E_r.T), -scale * (G_moment + YV),
             scale * G_sum[:, r:].real)

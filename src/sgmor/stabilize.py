@@ -102,8 +102,8 @@ def technique_i(fom: LTISystem, V, rule: FrequencyRule) -> StabilizationOutcome:
     columns.
     """
     V = _as_columns(V, fom.n, "V")
-    F = sp.identity(fom.n, format="csr")
-    E_r, A_r, B_r = freq_projection(fom.E, fom.A, F, V, rule, fom.B)
+    # rule by keyword: perfbench/tracer.py reads it there to count the nodes
+    E_r, A_r, B_r = freq_projection(fom.E, fom.A, V, rule=rule, X=fom.B)
     reduced = LTISystem(E=E_r, A=A_r, B=B_r, C=np.asarray(fom.C @ V))
     return StabilizationOutcome(
         technique="i", reduced=reduced,
@@ -162,21 +162,21 @@ def _m_star(aps: AffineParamSystem, F=None) -> np.ndarray:
     return solve_lyap_direct(sys_star.E, sys_star.A, np.eye(aps.n) if F is None else F)
 
 
-def technique_iii(fom: LTISystem, aps: AffineParamSystem, V, F=None) -> LTISystem:
+def technique_iii(fom: LTISystem, aps: AffineParamSystem, V) -> LTISystem:
     """The reduced system W^T (E V, A V, B) with output C V, for the
     blockwise left factor W of one Lyapunov solution at a reference point.
 
     fom is the projection of aps; its m = fom.n / aps.n chaos blocks share
-    M*.  W = (I (x) M*) E V with M* solving the Lyapunov equation, F = I
-    unless given, of the realization at the parameter means.  The reduced
-    system has the order r of V; its leading blocks are the reductions
-    onto V's leading columns.  The certificate, _technique_iii_margin(fom,
-    aps, F), does not depend on V, so it is computed apart from the
-    reduction: bench.stabilized_basis reports it once per projected system.
+    M*.  W = (I (x) M*) E V with M* solving the Lyapunov equation, F = I,
+    of the realization at the parameter means.  The reduced system has the
+    order r of V; its leading blocks are the reductions onto V's leading
+    columns.  The certificate, _technique_iii_margin(fom, aps), does not
+    depend on V, so it is computed apart from the reduction:
+    bench.stabilized_basis reports it once per projected system.
     """
     n = aps.n
     m = _block_count(fom, n)
-    M_star = _m_star(aps, F)
+    M_star = _m_star(aps)
     V = _as_columns(V, fom.n, "V")
     r = V.shape[1]
     blocks = np.asarray(fom.E @ V).reshape(m, n, r)
@@ -186,8 +186,10 @@ def technique_iii(fom: LTISystem, aps: AffineParamSystem, V, F=None) -> LTISyste
 
 def _technique_iii_margin(fom: LTISystem, aps: AffineParamSystem, F=None) -> float:
     """Technique iii's margin lambda_max(E^T (I (x) M*) A + transpose) for
-    the M* of technique_iii(fom, aps, V, F); a negative margin certifies
-    that every reduction from (W, V) is stable, for every V."""
+    M* of the Lyapunov equation with right-hand side F, I unless given;
+    with F = I it is the M* of technique_iii(fom, aps, V), and a negative
+    margin certifies that every reduction from (W, V) is stable, for
+    every V."""
     m = _block_count(fom, aps.n)
     M_big = sp.kron(sp.identity(m, format="csr"),
                     sp.csr_matrix(_m_star(aps, F)), format="csr")
@@ -202,30 +204,3 @@ def _technique_iii_margin(fom: LTISystem, aps: AffineParamSystem, F=None) -> flo
                      return_eigenvectors=False)
     return float(val[0])
 
-
-def theta_family(aps: AffineParamSystem, theta: float) -> AffineParamSystem:
-    """Shrink the parameter spread toward the means by a factor theta in [0, 1].
-
-    Realizations of the returned family at mu match the original family at
-    mu_bar + theta * (mu - mu_bar).  The distributions are kept; the affine
-    terms are rescaled, with the displaced mass folded into the constant
-    part.  At theta = 0 every realization equals the mean realization.
-    """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    mu_shift = (1.0 - theta) * aps.nominal()
-
-    def scale_parts(parts):
-        return tuple(None if p is None else theta * p for p in parts)
-
-    return AffineParamSystem(
-        E0=_affine_sum(aps.E0, aps.E_parts, mu_shift),
-        A0=_affine_sum(aps.A0, aps.A_parts, mu_shift),
-        B0=_affine_sum(aps.B0, aps.B_parts, mu_shift),
-        C0=_affine_sum(aps.C0, aps.C_parts, mu_shift),
-        E_parts=scale_parts(aps.E_parts),
-        A_parts=scale_parts(aps.A_parts),
-        B_parts=scale_parts(aps.B_parts),
-        C_parts=scale_parts(aps.C_parts),
-        dists=aps.dists,
-    )

@@ -4,8 +4,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from sgmor import QuadratureRule, shifted_solver
-from sgmor.systems import _as_dense
+from sgmor import AffineParamSystem, QuadratureRule, shifted_solver
+from sgmor.systems import _affine_sum, _as_dense
 
 
 def random_stable_ode(rng, n, margin=0.05):
@@ -125,3 +125,31 @@ def stacked(matrix_fn):
         return np.stack(A), np.stack(B), np.stack(E)
 
     return stacked_fn
+
+
+def theta_family(aps: AffineParamSystem, theta: float) -> AffineParamSystem:
+    """Shrink the parameter spread toward the means by a factor theta in [0, 1].
+
+    Realizations of the returned family at mu match the original family at
+    mu_bar + theta * (mu - mu_bar).  The distributions are kept; the affine
+    terms are rescaled, with the displaced mass folded into the constant
+    part.  At theta = 0 every realization equals the mean realization.
+    """
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError("theta must lie in [0, 1]")
+    mu_shift = (1.0 - theta) * aps.nominal()
+
+    def scale_parts(parts):
+        return tuple(None if p is None else theta * p for p in parts)
+
+    return AffineParamSystem(
+        E0=_affine_sum(aps.E0, aps.E_parts, mu_shift),
+        A0=_affine_sum(aps.A0, aps.A_parts, mu_shift),
+        B0=_affine_sum(aps.B0, aps.B_parts, mu_shift),
+        C0=_affine_sum(aps.C0, aps.C_parts, mu_shift),
+        E_parts=scale_parts(aps.E_parts),
+        A_parts=scale_parts(aps.A_parts),
+        B_parts=scale_parts(aps.B_parts),
+        C_parts=scale_parts(aps.C_parts),
+        dists=aps.dists,
+    )

@@ -29,7 +29,6 @@ from sgmor import (
     regularize_affine,
     run_experiment,
     solve_lyap_direct,
-    theta_family,
 )
 from sgmor.stabilize import _technique_iii_margin
 
@@ -42,6 +41,7 @@ from _gen import (
     random_stable_ode,
     random_stable_sparse,
     stacked,
+    theta_family,
 )
 from test_stabilize import dissipative_family, stable_family
 
@@ -208,7 +208,7 @@ def test_criterion_6_frequency_projection_convergence():
         scale = np.linalg.norm(W_ref)
 
         def error(k):  # with X = I the third product is W^T for W = M E V
-            WT = freq_projection(E, A, F, V, FrequencyRule.gauss(k), np.eye(n))[2]
+            WT = freq_projection(E, A, V, FrequencyRule.gauss(k), np.eye(n))[2]
             return np.linalg.norm(WT.T - W_ref) / scale
 
         err8, err128 = error(8), error(128)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import asdict
 
@@ -193,6 +194,74 @@ class TestBandpassModel:
         spectrum = pencil_spectrum(np.asarray(sysn.E), np.asarray(sysn.A))
         assert spectrum.abscissa < 0
         assert np.linalg.matrix_rank(np.asarray(sysn.E)) == 23
+
+
+def _digest(arrays):
+    """sha256 prefix of a sequence of arrays and Nones: each array's shape,
+    dtype and values, hashed as a + 0.0 so that -0.0 and +0.0 agree."""
+    h = hashlib.sha256()
+    for a in arrays:
+        if a is None:
+            h.update(b"None;")
+        else:
+            a = np.ascontiguousarray(a + 0.0)
+            h.update(f"{a.shape}{a.dtype.str};".encode() + a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def family_pins(aps):
+    """Digests of every matrix, part and distribution of a family."""
+    pins = {name: _digest([getattr(aps, name)]) for name in ("E0", "A0", "B0", "C0")}
+    pins.update({name: _digest(getattr(aps, name))
+                 for name in ("E_parts", "A_parts", "B_parts", "C_parts")})
+    dists = repr([(d.kind, d.params) for d in aps.dists]).encode()
+    pins["dists"] = hashlib.sha256(dists).hexdigest()[:16]
+    return pins
+
+
+def present(parts):
+    """Indices of the parts that are not None."""
+    return [i for i, p in enumerate(parts) if p is not None]
+
+
+class TestFamilyPins:
+    """Both families, array for array and distribution for distribution, as
+    the element stamps built them when these digests were recorded."""
+
+    def test_msd(self):
+        aps = build_msd()
+        assert present(aps.E_parts) == list(range(5))
+        assert present(aps.A_parts) == list(range(5, 17))
+        assert present(aps.B_parts) == [5]
+        assert present(aps.C_parts) == []
+        assert family_pins(aps) == {
+            "E0": "e59f8df9d8dddfa2", "A0": "4277e6d52a986de7",
+            "B0": "5295ca4b80ea7ab0", "C0": "3bd88ef56ec4dd7d",
+            "E_parts": "2eaeeef3498659e1", "A_parts": "b765b805638fe32b",
+            "B_parts": "ebe2eb4daa5cd9cf", "C_parts": "50d633f07d81df17",
+            "dists": "240ed3ccb23a0053"}
+
+    def test_bandpass(self):
+        aps = build_bandpass()
+        assert present(aps.E_parts) == list(range(14))
+        assert present(aps.A_parts) == list(range(14, 23))
+        assert present(aps.B_parts) == present(aps.C_parts) == []
+        assert family_pins(aps) == {
+            "E0": "8bf07a175e109e72", "A0": "3f1b4e48cf00b957",
+            "B0": "4ef3769ee109c71f", "C0": "6f336e397143b089",
+            "E_parts": "a7eeb21c0b37895a", "A_parts": "3d3b707b3affa5ef",
+            "B_parts": "151ad80a2bf62c8b", "C_parts": "151ad80a2bf62c8b",
+            "dists": "468d267c9e398b39"}
+
+    def test_regularized_bandpass(self):
+        aps = regularize_affine(build_bandpass())
+        assert present(aps.E_parts) == present(aps.A_parts) == list(range(23))
+        assert family_pins(aps) == {
+            "E0": "06de33a5ab213dc9", "A0": "3f1b4e48cf00b957",
+            "B0": "4ef3769ee109c71f", "C0": "6f336e397143b089",
+            "E_parts": "e41f88a60be42505", "A_parts": "8da21c7571d7c3b2",
+            "B_parts": "151ad80a2bf62c8b", "C_parts": "151ad80a2bf62c8b",
+            "dists": "468d267c9e398b39"}
 
 
 class TestRunConfig:

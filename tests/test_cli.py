@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sgmor.bench
+import sgmor.cli
 from sgmor import (FrequencyRule, LTISystem, RunConfig, error_reference, load_system,
                    save_system, stability_sweep)
 from sgmor.cli import main
@@ -110,6 +111,21 @@ class TestAssembleReduce:
         with pytest.raises(ValueError, match="omega_scale must be finite"):
             main(["reduce", "--manifest", str(tmp_path / "g"), "--rmax", "3",
                   "--omega-scale", "inf", "--out", str(tmp_path / "red")])
+        assert not (tmp_path / "red" / "V.txt").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--omega-scale", "0"], "omega_scale must be positive"),
+        (["--omega-scale", "-1"], "omega_scale must be positive"),
+        (["--nodes", "1"], "at least two nodes"),
+    ], ids=["scale-zero", "scale-negative", "one-node"])
+    def test_reduce_refuses_a_bad_error_grid_before_arnoldi(self, capsys, tmp_path,
+                                                            monkeypatch, flags, message):
+        main(["assemble", "--model", "msd", "--degree", "0", "--out", str(tmp_path / "g")])
+        monkeypatch.setattr(sgmor.cli, "arnoldi", lambda *args: pytest.fail("Arnoldi ran"))
+        with pytest.raises(ValueError, match=message):
+            main(["reduce", "--manifest", str(tmp_path / "g"), "--rmax", "3", *flags,
+                  "--out", str(tmp_path / "red")])
+        assert not (tmp_path / "red").exists()
 
     def test_assemble_degree_one_dimension(self, capsys, tmp_path):
         code = main(["assemble", "--model", "msd", "--degree", "1",

@@ -106,29 +106,27 @@ class TestDirectSolve:
         assert chk.ok
 
 
-def left_factor(E, A, F, V, rule):
+def left_factor(E, A, V, rule):
     """W = M E V from freq_projection: with X = I its third product is W^T."""
-    return freq_projection(E, A, F, V, rule, np.eye(E.shape[0]))[2].T
+    return freq_projection(E, A, V, rule, np.eye(E.shape[0]))[2].T
 
 
 class TestFrequencyProjection:
     def test_scalar_exact(self):
-        # E = 1, A = -1, F = 2: M = 1, so W = M E V = V
+        # E = 1, A = -1, F = 1: M = 1/2, so W = M E V = V / 2
         W = left_factor(np.array([[1.0]]), np.array([[-1.0]]),
-                        np.array([[2.0]]), np.array([[1.0]]),
-                        FrequencyRule.gauss(40))
-        assert_allclose(W, [[1.0]], rtol=1e-12)
+                        np.array([[1.0]]), FrequencyRule.gauss(40))
+        assert_allclose(W, [[0.5]], rtol=1e-12)
 
     def test_converges_to_direct(self):
         rng = np.random.default_rng(23)
         n, r = 30, 4
         E, A = random_stable_generalized(rng, n, margin=0.5)
-        F = random_spd(rng, n)
         V = random_orthonormal(rng, n, r)
-        W_ref = solve_lyap_direct(E, A, F) @ E @ V
+        W_ref = solve_lyap_direct(E, A, np.eye(n)) @ E @ V
         errs = []
         for k in (8, 32, 128):
-            W = left_factor(E, A, F, V, FrequencyRule.gauss(k))
+            W = left_factor(E, A, V, FrequencyRule.gauss(k))
             errs.append(np.linalg.norm(W - W_ref) / np.linalg.norm(W_ref))
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] < 1e-6
@@ -138,27 +136,25 @@ class TestFrequencyProjection:
         rng = np.random.default_rng(26)
         n, r = 30, 4
         E, A = random_stable_generalized(rng, n, margin=0.5)
-        F = random_spd(rng, n)
         V = random_orthonormal(rng, n, r)
         X = rng.standard_normal((n, 2))
-        WT = V.T @ E.T @ solve_lyap_direct(E, A, F)
-        for got, ref in zip(freq_projection(E, A, F, V, FrequencyRule.gauss(128), X),
+        WT = V.T @ E.T @ solve_lyap_direct(E, A, np.eye(n))
+        for got, ref in zip(freq_projection(E, A, V, FrequencyRule.gauss(128), X),
                             (WT @ E @ V, WT @ A @ V, WT @ X)):
             assert np.linalg.norm(got - ref) < 1e-6 * np.linalg.norm(ref)
 
     def test_sparse_path_matches_dense(self):
         rng = np.random.default_rng(24)
         E, A = random_stable_sparse(rng, 25)
-        F = np.eye(25)
         V = random_orthonormal(rng, 25, 3)
         rule = FrequencyRule.gauss(64)
-        W_sp = left_factor(E, A, F, V, rule)
-        W_d = left_factor(E.toarray(), A.toarray(), F, V, rule)
+        W_sp = left_factor(E, A, V, rule)
+        W_d = left_factor(E.toarray(), A.toarray(), V, rule)
         assert_allclose(W_sp, W_d, atol=1e-11 * np.abs(W_d).max())
 
     def test_vector_v_promoted(self):
-        W = left_factor(np.eye(2), -np.eye(2), np.eye(2),
-                        np.array([1.0, 0.0]), FrequencyRule.gauss(32))
+        W = left_factor(np.eye(2), -np.eye(2), np.array([1.0, 0.0]),
+                        FrequencyRule.gauss(32))
         assert W.shape == (2, 1)
 
 

@@ -12,8 +12,8 @@ PACKAGE = Path(sgmor.__file__).parent
 README = PACKAGE.parents[1] / "README.md"
 
 # Kept for ROADMAP item 1: the per-order stability certificate is built on
-# is_dissipative, and technique iii's certified spread on theta_family.
-ALLOWED_UNUSED = {"is_dissipative", "theta_family"}
+# is_dissipative.
+ALLOWED_UNUSED = {"is_dissipative"}
 
 
 def _referenced_names() -> set:

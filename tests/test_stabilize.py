@@ -29,13 +29,13 @@ from sgmor import (
     technique_i,
     technique_ii,
     technique_iii,
-    theta_family,
 )
 from sgmor.bench import RunConfig, project, stabilized_basis
 from sgmor.stabilize import DEFAULT_BETA, _technique_iii_margin
 from sgmor.systems import _affine_sum
 
-from _gen import lyap_one_pencil, random_dissipative, random_orthonormal, random_spd, stacked
+from _gen import (lyap_one_pencil, random_dissipative, random_orthonormal, random_spd, stacked,
+                  theta_family)
 
 
 def regularization_gaps(aps, basis, beta, beta_other=None):

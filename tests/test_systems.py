@@ -278,8 +278,7 @@ def test_shifted_solver(sparse):
     calls = [
         (0.5 + 2j, lambda: transfer_eval(sys, 0.5 + 2j)),
         (0.7, lambda: arnoldi(E_sing, A_sing, np.ones((3, 1)), 0.7, 2)),
-        (node, lambda: freq_projection(E_sing, A_sing, np.eye(3), np.ones((3, 1)), rule,
-                                       np.ones((3, 1)))),
+        (node, lambda: freq_projection(E_sing, A_sing, np.ones((3, 1)), rule, np.ones((3, 1)))),
         (node, lambda: transfer_on_grid(sys, rule.half()[0])),
     ]
     with warnings.catch_warnings():
@@ -552,11 +551,11 @@ def per_shift_transfer(sys, omegas):
                      for om in omegas])
 
 
-def per_shift_projection(E, A, F, V, rule):
+def per_shift_projection(E, A, V, rule):
     W = np.zeros(V.shape)
     for om, wt in zip(*rule.half()):
         solve = per_shift_solver(E, A, 1j * om)
-        W += wt * solve(F @ solve(E @ V), adjoint=True).real
+        W += wt * solve(solve(E @ V), adjoint=True).real
     return W / (2.0 * np.pi)
 
 
@@ -583,13 +582,13 @@ class TestSparsePencil:
         assert (omegas[0] == 0.0) == bool(n_nodes % 2)
         H, H_ref = transfer_on_grid(fom, omegas), per_shift_transfer(fom, omegas)
         assert_allclose(H, H_ref, rtol=1e-12, atol=1e-12 * np.abs(H_ref).max())
-        F = sp.identity(fom.n, format="csr")
         # the third product is W^T X: X = I reads W^T itself on BPF degree 1,
         # and a few random columns pin it on MSD degree 2 at a fraction of
         # the 1710 right-hand sides per node that X = I would cost
-        X = F if model == "bpf" else np.random.default_rng(41).standard_normal((fom.n, 3))
-        WX = freq_projection(fom.E, fom.A, F, V, rule, X)[2]
-        WX_ref = per_shift_projection(fom.E, fom.A, F, V, rule).T @ X
+        X = (sp.identity(fom.n, format="csr") if model == "bpf"
+             else np.random.default_rng(41).standard_normal((fom.n, 3)))
+        WX = freq_projection(fom.E, fom.A, V, rule, X)[2]
+        WX_ref = per_shift_projection(fom.E, fom.A, V, rule).T @ X
         assert_allclose(WX, WX_ref, rtol=1e-12, atol=1e-12 * np.abs(WX_ref).max())
 
     @pytest.mark.parametrize("n_nodes", [16, 15], ids=["even", "odd"])
@@ -607,8 +606,7 @@ class TestSparsePencil:
         union = (abs(fom.E) + abs(fom.A)).nnz
         assert union == 8532
         for call in (lambda: transfer_on_grid(fom, rule.half()[0]),
-                     lambda: freq_projection(fom.E, fom.A, sp.identity(fom.n), V, rule,
-                                             fom.B)):
+                     lambda: freq_projection(fom.E, fom.A, V, rule, fom.B)):
             calls.clear()
             call()
             # one factorization per shift, and the one minimum-degree
@@ -671,8 +669,7 @@ class TestSparsePencil:
         E = sp.identity(4, format="csr")
         lti = LTISystem(E=E, A=A, B=np.ones((4, 1)), C=np.ones((1, 4)))
         for call in (lambda: transfer_on_grid(lti, omegas),
-                     lambda: freq_projection(E, A, np.eye(4), np.eye(4)[:, :2], rule,
-                                             np.ones((4, 1)))):
+                     lambda: freq_projection(E, A, np.eye(4)[:, :2], rule, np.ones((4, 1)))):
             with pytest.raises(ValueError, match=re.escape(str(1j * w))):
                 call()
 
@@ -688,8 +685,7 @@ class TestTechniqueIReducedPencil:
         (_, _, fom), arn, outcome = stabilized_basis(cfg, timings={})
         rom = outcome.reduced
         rule = FrequencyRule.gauss(cfg.nodes, omega_scale=cfg.stab_scale)
-        F = sp.identity(fom.n, format="csr")
-        ref = reduce(fom, arn.V, per_shift_projection(fom.E, fom.A, F, arn.V, rule))
+        ref = reduce(fom, arn.V, per_shift_projection(fom.E, fom.A, arn.V, rule))
         for got, want in ((rom.E, ref.E), (rom.A, ref.A), (rom.B, ref.B), (rom.C, ref.C)):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert np.array_equal(rom.E, rom.E.T)
