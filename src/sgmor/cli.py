@@ -94,16 +94,18 @@ def _cmd_reduce(args) -> int:
     if s0 is None:
         raise SystemExit(f"{args.manifest} records no expansion point; "
                          "pass --expansion-point")
-    # the error grid is built first, so a bad one is refused before any solve
+    # the error grid is built first, so a bad one is refused before any
+    # solve, also when --no-errors leaves a given one unused
+    with_errors = getattr(args, "with_errors", RunConfig.with_errors)
     rule = None
-    if getattr(args, "with_errors", RunConfig.with_errors):
+    if with_errors or hasattr(args, "omega_scale") or hasattr(args, "nodes"):
         rule = _error_rule(args, extra)
     arn = arnoldi(sys_full.E, sys_full.A, sys_full.B, s0,
                   getattr(args, "r_max", RunConfig.r_max))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     np.savetxt(out_dir / "V.txt", arn.V)
-    reference = None if rule is None else error_reference(sys_full, rule)
+    reference = error_reference(sys_full, rule) if with_errors else None
     report = stability_sweep(reduce(sys_full, arn.V), reference)
     report.to_csv(out_dir / "sweep.csv")
     print(f"Krylov basis of rank {arn.rank}"

@@ -13,7 +13,7 @@ import scipy.linalg as sla
 
 from .frequency import FrequencyRule
 # pencil_spectrum is unused here; perfbench/tracer.py wraps it by this attribute
-from .systems import _as_columns, _as_dense, _pencil, pencil_spectrum  # noqa: F401
+from .systems import _as_columns, _as_dense, _pencil, _singular, pencil_spectrum  # noqa: F401
 
 __all__ = ["solve_lyap_direct", "freq_projection"]
 
@@ -86,17 +86,21 @@ def freq_projection(E, A, V, rule: FrequencyRule, X):
     At each node K = i w E - A is factored once and solved forward once,
     Y = K^-1 [E V, X] with r + k right-hand sides (V is n x r, X n x k).
     Since A = i w E - K, K^-1 A V = i w Y_V - V, so the node's terms are
-    Re Y_V^H Y_V, Re Y_V^H (i w Y_V - V) and Re Y_V^H Y_X.  Their
-    r x (r + k) product Y_V^H Y is one gemm of SciPy's BLAS, the OpenBLAS
+    Re Y_V^H Y_V, Re Y_V^H (i w Y_V - V) and Re Y_V^H Y_X.  The nodes are
+    the shifts of the pencil's solve_shifts loop (_pencil), which yields
+    each Y in the pencil's row order, for a sparse pencil SuperLU's own
+    column-major solution.  Y_V^H Y does not depend on the row order.  It
+    is one zgemm of SciPy's BLAS reading Y in place (trans_a=2), the OpenBLAS
     SuperLU solves with, which a pipeline call keeps on one thread
     (systems._scipy_blas_serial).  Numpy's @ would hand it to NumPy's own
     OpenBLAS, which keeps its threads: on a 2-core machine that library's
     second thread then used 0.36-0.39 instead of 0.14 CPU-s of an MSD
-    degree 2 technique-i call.  The part Re Y_V^H V = Re(Y_V)^T V is
-    linear in Y_V, so the nodes add up Re Y_V in one n x r sum, which meets
-    V once at the end.
-    A sparse pencil is ordered once, at the first node.  The first result
-    is symmetrized, so it is exactly symmetric; with X = I the third is W^T
+    degree 2 technique-i call.  A non-finite product names the node's
+    shift.  The part Re Y_V^H V = Re(Y_V)^T V is linear in Y_V, so a daxpy
+    adds Re Y_V in place into one n x r sum, in the same row order, which
+    meets V, permuted alike, once at the end.  A node thus makes no n x r
+    block of its own besides SuperLU's solution.  The first result is
+    symmetrized, so it is exactly symmetric; with X = I the third is W^T
     for W = M E V.  The pencil (E, A) must be asymptotically stable with
     nonsingular E for the integral to equal the Lyapunov solution.
     """
@@ -105,21 +109,28 @@ def freq_projection(E, A, V, rule: FrequencyRule, X):
     X = _as_columns(_as_dense(X), n, "X")
     r = V.shape[1]
     solver = _pencil(E, A)
-    rhs = np.hstack([np.asarray(E @ V), X])
-    gemm = sla.get_blas_funcs("gemm", dtype=complex)
-    G_sum, G_moment = np.zeros((r, rhs.shape[1]), complex), np.zeros((r, r))
-    Y_sum = np.zeros((n, r), order="F")
+    omegas, weights = rule.half()
+    solutions = solver.solve_shifts(1j * omegas, np.hstack([np.asarray(E @ V), X]))
+    zgemm = sla.get_blas_funcs("gemm", dtype=complex)
+    daxpy = sla.get_blas_funcs("axpy", dtype=float)
+    G_sum = np.zeros((r, r + X.shape[1]), complex)
+    G_moment = np.zeros((r, r))
+    Y_sum = np.zeros(n * r)  # Re Y_V summed, column by column
 
-    for om, weight in zip(*rule.half()):
-        # one call per node frees its factorization before the next is made
-        Y = solver(1j * om)(rhs)
-        Y_sum += weight * Y[:, :r].real
-        # Y_V^H Y as the transpose of Y^T conj(Y_V)
-        G = gemm(1.0, Y.T, Y[:, :r].T, trans_b=2).T
+    for om, weight in zip(omegas, weights):
+        Y = np.asfortranarray(next(solutions), dtype=complex)
+        G = zgemm(1.0, Y[:, :r], Y, trans_a=2)
+        if not np.all(np.isfinite(G)):
+            raise ValueError(_singular(1j * om))
         G_sum += weight * G
         G_moment += (weight * om) * G[:, :r].imag
+        # Re Y_V is every second double of Y_V's column-major storage
+        daxpy(Y.reshape(-1, order="F")[:n * r].view(float), Y_sum,
+              n=n * r, a=weight, incx=2)
         del Y  # the next node's solution is made without this one
-    YV = sla.get_blas_funcs("gemm", dtype=float)(1.0, Y_sum, V, trans_a=1)
+    rows = slice(None) if solver.rows is None else solver.rows
+    YV = sla.get_blas_funcs("gemm", dtype=float)(
+        1.0, Y_sum.reshape(n, r, order="F"), V[rows], trans_a=1)
     scale = 1.0 / (2.0 * np.pi)
     E_r = G_sum[:, :r].real
     return (scale * 0.5 * (E_r + E_r.T), -scale * (G_moment + YV),

@@ -55,22 +55,29 @@ def arnoldi(E, A, B, s0: float, r_max: int) -> ArnoldiResult:
     if not np.isfinite(s0):
         raise ValueError("expansion point must be finite")
     r_max = min(r_max, n)
+    # V's columns again as rows, so that an update reads its column at unit
+    # stride; the projection keeps V's strided dot, since OpenBLAS sums a
+    # unit-stride dot in another order, and BPF degree 2's basis past order
+    # 15 follows that rounding.  Both are made before the factorization:
+    # made after it, they raised the process's peak by 5 MB on MSD degree 3.
+    V = np.empty((n, r_max))
+    Vt = np.empty((r_max, n))
+    step = np.empty(n)
     solve = shifted_solver(E, A, s0)
     v = solve(Bd[:, 0])
     ref_norm = np.linalg.norm(v)
     if ref_norm == 0.0:
         raise ValueError("start vector (s0 E - A)^-1 B is zero")
-    V = np.empty((n, r_max))
-    V[:, 0] = v / ref_norm
+    V[:, 0] = Vt[0] = v / ref_norm
     for j in range(1, r_max):
         w = solve(np.asarray(E @ V[:, j - 1]).ravel())
         for _ in range(2):  # MGS plus one reorthogonalization
             for i in range(j):
-                w -= (V[:, i] @ w) * V[:, i]
+                w -= np.multiply(Vt[i], V[:, i] @ w, out=step)
         nrm = np.linalg.norm(w)
         if nrm < BREAKDOWN_RTOL * ref_norm:
             return ArnoldiResult(V=V[:, :j].copy(), breakdown=True)
-        V[:, j] = w / nrm
+        V[:, j] = Vt[j] = w / nrm
     return ArnoldiResult(V=V, breakdown=False)
 
 

@@ -189,18 +189,28 @@ def _technique_iii_margin(fom: LTISystem, aps: AffineParamSystem, F=None) -> flo
     M* of the Lyapunov equation with right-hand side F, I unless given;
     with F = I it is the M* of technique_iii(fom, aps, V), and a negative
     margin certifies that every reduction from (W, V) is stable, for
-    every V."""
-    m = _block_count(fom, aps.n)
-    M_big = sp.kron(sp.identity(m, format="csr"),
-                    sp.csr_matrix(_m_star(aps, F)), format="csr")
-    E_s = sp.csr_matrix(fom.E)
-    A_s = sp.csr_matrix(fom.A)
-    T = (E_s.T @ M_big) @ A_s
-    S = (T + T.T).tocsc()
+    every V.
+
+    Neither I (x) M* nor the product is formed: ARPACK applies
+    x -> E^T (I (x) M*) A x + A^T (I (x) M*) E x, with I (x) M* applied to
+    the m chaos blocks of a vector at once, as its (m, n) reshape times
+    the symmetric M*."""
+    n = aps.n
+    m = _block_count(fom, n)
+    M_star = _m_star(aps, F)
+    E, A = sp.csr_matrix(fom.E), sp.csr_matrix(fom.A)
+
+    def blockwise(y):
+        return (y.reshape(m, n) @ M_star).reshape(-1)
+
+    def matvec(x):
+        x = x.reshape(-1)
+        return E.T @ blockwise(A @ x) + A.T @ blockwise(E @ x)
+
     if fom.n == 1:  # ARPACK needs k < n
-        return float(S[0, 0])
+        return float(matvec(np.ones(1))[0])
+    S = spla.LinearOperator((fom.n, fom.n), matvec=matvec, dtype=float)
     # a fixed start vector makes ARPACK, and so the margin, reproducible
     val = spla.eigsh(S, k=1, which="LA", v0=np.ones(fom.n),
                      return_eigenvectors=False)
     return float(val[0])
-

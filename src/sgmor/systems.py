@@ -379,30 +379,55 @@ def _singular(s) -> str:
 
 
 def _pencil(E, A):
-    """solver(s) -> solve(rhs) for K = s E - A, at one shift or many: the
+    """The solver of K = s E - A for one pencil, at one shift or many: the
     one place that chooses how a pencil is solved.
 
-    solve applies K^-1; K is real for real E, A and s.  Work that does not
-    depend on s is done once per pencil.  A dense K is factored by LAPACK
-    getrf (_dense_solver), a sparse one by SuperLU (_SparsePencil), and a
-    NodeKronSum one, technique ii's re-assembled system, is solved by GMRES
-    with a node-wise preconditioner (_node_sum_solver) whose S G^-1, with G
-    the chaos Gram matrix, is formed here.  A singular K, a Gram matrix that
-    fails the test of assemble_via_quadrature (_definite_gram), a singular
-    node matrix of a NodeKronSum K, a non-finite solution or GMRES that
-    misses _GMRES_RTOL raises ValueError naming s; a NodeKronSum E whose A
-    is not one on the same S and w raises ValueError at once.
+    solver(s) returns solve(rhs), which applies K^-1; K is real for real E,
+    A and s.  solver.solve_shifts(shifts, rhs) yields K^-1 rhs at each
+    shift in turn for one block rhs, each shift's factorization freed
+    before the next is made; it is the one loop that solves a block at
+    many shifts.  Its solutions list their rows in the pencil's row order:
+    row a is natural row solver.rows[a], where rows is None for the
+    natural order.  They are not tested for finiteness; the caller tests
+    what it forms from them.  Work that does not depend on s is done once
+    per pencil.  A dense K is factored by LAPACK getrf (_dense_solver), a
+    sparse one by SuperLU (_SparsePencil), and a NodeKronSum one, technique
+    ii's re-assembled system, is solved by GMRES with a node-wise
+    preconditioner (_node_sum_solver) whose S G^-1, with G the chaos Gram
+    matrix, is formed here.  A singular K, a Gram matrix that fails the test
+    of assemble_via_quadrature (_definite_gram), a singular node matrix of a
+    NodeKronSum K, a non-finite solution of solve or GMRES that misses
+    _GMRES_RTOL raises ValueError naming s; a NodeKronSum E whose A is not
+    one on the same S and w raises ValueError at once.
     """
     if isinstance(E, NodeKronSum):
         if not isinstance(A, NodeKronSum) or A.S is not E.S or A.w is not E.w:
             raise ValueError("operators on different nodes or weights")
         G = E.S.T @ (E.w[:, None] * E.S)
         SG = E.S @ np.linalg.inv(G) if _definite_gram(np.linalg.eigvalsh(G)) else None
-        return lambda s: _node_sum_solver(NodeKronSum(E.S, E.w, s * E.X - A.X),
-                                          SG, _singular(s))
+        return _PencilSolver(lambda s: _node_sum_solver(
+            NodeKronSum(E.S, E.w, s * E.X - A.X), SG, _singular(s)))
     if sp.issparse(E) or sp.issparse(A):
         return _SparsePencil(E, A)
-    return lambda s: _dense_solver(E, A, s)
+    return _PencilSolver(lambda s: _dense_solver(E, A, s))
+
+
+class _PencilSolver:
+    """The solver _pencil returns for a dense or NodeKronSum pencil:
+    solver(s) is at(s), the solve of K = s E - A at one shift, and
+    solve_shifts calls it shift by shift, in the natural row order."""
+
+    rows = None
+
+    def __init__(self, at):
+        self.at = at
+
+    def __call__(self, s):
+        return self.at(s)
+
+    def solve_shifts(self, shifts, rhs):
+        for s in shifts:
+            yield self(s)(rhs)
 
 
 @functools.cache
@@ -454,7 +479,7 @@ def _scipy_blas_serial():
         set_(before)
 
 
-class _SparsePencil:
+class _SparsePencil(_PencilSolver):
     """SuperLU factorizations of a sparse pencil s E - A at any shifts.
 
     Called with s, it returns solve as _pencil describes.  A real shift
@@ -472,16 +497,26 @@ class _SparsePencil:
     ordering of that pattern would not suit the other shifts.  That shift is
     factored with _SYMMETRIC_SPLU, and its column permutation P (the
     minimum-degree ordering, postordered by SuperLU) is applied to E and A
-    symmetrically once.  Every later complex shift factors P (s E - A) P^T
-    with the ordering "NATURAL" and the same pivot options; its solve
-    permutes the right-hand side and un-permutes the solution.  Skipping the
-    ordering cut a factorization from 2.7 to 1.5 ms on MSD degree 2, from
-    5.2 to 3.6 ms on BPF degree 2 and from 140 to 64 ms on MSD degree 3.
+    symmetrically once.  Every later complex shift writes s E - A into one
+    reused buffer and factors P (s E - A) P^T with the ordering "NATURAL"
+    and the same pivot options; its solve permutes the right-hand side and
+    un-permutes the solution.  Skipping the ordering cut a factorization
+    from 2.7 to 1.5 ms on MSD degree 2, from 5.2 to 3.6 ms on BPF degree 2
+    and from 140 to 64 ms on MSD degree 3.
+
+    solve_shifts takes every shift as a complex one.  It permutes the block
+    once, as a complex Fortran array, and yields SuperLU's own solution of
+    each later shift in the permuted row order: a solution's row a is
+    natural row rows[a], rows being the inverse of the ordering perm.  The
+    first shift of an unordered pencil is solved in natural order and its
+    solution permuted once.  Without per-shift copies of the block and of
+    its solution, a warm MSD degree 2 technique-i call took 15k instead of
+    23k minor page faults.
     """
 
     def __init__(self, E, A):
         self.E, self.A = E, A
-        self.Eu = self.perm = self.inv = None
+        self.K = self.perm = None
 
     def __call__(self, s):
         singular = _singular(s)
@@ -489,34 +524,51 @@ class _SparsePencil:
             K = sp.csc_matrix(s * self.E - self.A)
             options = _SYMMETRIC_SPLU if np.all(K.diagonal()) else {}
             return _superlu_solver(_splu(K, singular, options), singular)
-        if self.Eu is None:
-            self._union()
-        K = sp.csc_matrix((s * self.Eu - self.Au, self.indices, self.indptr), self.shape)
-        if self.perm is not None:
-            lu = _splu(K, singular, _REORDERED_SPLU)
-            return _superlu_solver(lu, singular, self.perm, self.inv)
-        lu = _splu(K, singular, _SYMMETRIC_SPLU)
-        self._reorder(lu.perm_c)
-        return _superlu_solver(lu, singular)
+        if self.perm is None:
+            return _superlu_solver(self._order(s), singular)
+        lu = _splu(self._shifted(s), singular, _REORDERED_SPLU)
+        return _superlu_solver(lu, singular, self.perm, self.rows)
 
-    def _union(self):
+    def solve_shifts(self, shifts, rhs):
+        shifts = iter(shifts)
+        if self.perm is None:
+            s = next(shifts, None)
+            if s is None:
+                return
+            yield self._order(s).solve(rhs)[self.rows]
+        rhs = np.asfortranarray(np.asarray(rhs)[self.rows], dtype=complex)
+        for s in shifts:
+            # the factorization is a temporary: freed once it has solved
+            yield _splu(self._shifted(s), _singular(s), _REORDERED_SPLU).solve(rhs)
+
+    def _shifted(self, s):
+        """K = s E - A on the held pattern, written into K's own data."""
+        np.multiply(self.Eu, s, out=self.K.data)
+        self.K.data -= self.Au
+        return self.K
+
+    def _order(self, s):
+        """Factor the first complex shift with _SYMMETRIC_SPLU and permute
+        the pencil by its ordering; returns the factorization."""
         E, A = sp.coo_matrix(self.E), sp.coo_matrix(self.A)
         at = (np.r_[E.row, A.row], np.r_[E.col, A.col])
         # one canonical CSC structure for both, from the same coordinates
         Eu = sp.csc_matrix((np.r_[E.data, np.zeros(A.nnz, A.dtype)], at), E.shape)
         Au = sp.csc_matrix((np.r_[np.zeros(E.nnz, E.dtype), A.data], at), E.shape)
-        self.shape, self.indices, self.indptr = E.shape, Eu.indices, Eu.indptr
         self.Eu, self.Au = Eu.data, Au.data
-
-    def _reorder(self, perm):
+        self.K = sp.csc_matrix((np.empty(Eu.nnz, complex), Eu.indices, Eu.indptr), E.shape)
+        lu = _splu(self._shifted(s), _singular(s), _SYMMETRIC_SPLU)
+        perm = lu.perm_c
         # P K P^T holds K[i, j] at (perm[i], perm[j]): gather by the inverse
-        inv = np.argsort(perm)
-        order = sp.csc_matrix((np.arange(self.Eu.size), self.indices, self.indptr),
-                              self.shape)[inv][:, inv]
+        rows = np.argsort(perm)
+        order = sp.csc_matrix((np.arange(Eu.nnz), Eu.indices, Eu.indptr),
+                              E.shape)[rows][:, rows]
         order.sort_indices()
-        self.indices, self.indptr = order.indices, order.indptr
         self.Eu, self.Au = self.Eu[order.data], self.Au[order.data]
-        self.perm, self.inv = perm, inv
+        self.K = sp.csc_matrix((np.empty(order.nnz, complex), order.indices, order.indptr),
+                               E.shape)
+        self.perm, self.rows = perm, rows
+        return lu
 
 
 def _splu(K, singular, options):
@@ -677,8 +729,9 @@ def transfer_on_grid(sys: LTISystem, omegas) -> np.ndarray:
     """H(i omega) stacked over a frequency grid, shape (k, n_out, n_in).
 
     A sparse C stays sparse (complex CSR).  A sparse or NodeKronSum pencil
-    is solved once per grid point by _pencil's solver, never densified; a
-    sparse one is ordered once, at the first point.
+    is solved once per grid point by its solver's solve_shifts, never
+    densified; a sparse one is ordered once, at the first point, and C's
+    columns are permuted once to its solutions' row order.
     A dense pencil forms i omega E - A for a chunk of points at once, as
     many as fit in _CHUNK_BYTES (one point when a single pencil is larger),
     and solves the chunk with one stacked np.linalg.solve.  A singular pencil or a
@@ -691,9 +744,12 @@ def transfer_on_grid(sys: LTISystem, omegas) -> np.ndarray:
     if sp.issparse(sys.E) or sp.issparse(sys.A) or isinstance(sys.E, NodeKronSum):
         solver = _pencil(sys.E, sys.A)
         C = sp.csr_matrix(sys.C, dtype=complex) if sp.issparse(sys.C) else sys.C
-        B = B.astype(complex)
-        for j, sj in enumerate(s):
-            out[j] = C @ solver(sj)(B)
+        for j, x in enumerate(solver.solve_shifts(s, B.astype(complex))):
+            if not np.all(np.isfinite(x)):
+                raise ValueError(_singular(s[j]))
+            if j == 0 and solver.rows is not None:
+                C = C[:, solver.rows]  # to the solutions' row order, once
+            out[j] = C @ x
         return out
     E, A, C = np.asarray(sys.E), np.asarray(sys.A), _as_dense(sys.C)
     step = max(1, _CHUNK_BYTES // (16 * n * (n + n_in)))

@@ -458,6 +458,16 @@ class TestRunExperiment:
         sgmor.bench._reference.cache_clear()
         assert run_experiment(RunConfig(**cfg, expansion_point=0.9))["rows"] == warm
 
+    def test_repeated_technique_i_call_is_identical(self):
+        # the benchmark repeats its first reference call and compares the
+        # sweeps byte for byte: a warm call, and one that evaluates its
+        # error reference again, give the rows of the first
+        cfg = RunConfig(model="msd", degree=2, technique="i", nodes=64, error_nodes=200)
+        first = run_experiment(cfg)["rows"]
+        assert run_experiment(cfg)["rows"] == first
+        sgmor.bench._reference.cache_clear()
+        assert run_experiment(cfg)["rows"] == first
+
     def test_error_reference_follows_the_configuration(self, monkeypatch):
         # a run that changes the projected system or the error grid
         # evaluates its own reference; a new expansion point does not

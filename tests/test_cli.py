@@ -113,6 +113,14 @@ class TestAssembleReduce:
                   "--omega-scale", "inf", "--out", str(tmp_path / "red")])
         assert not (tmp_path / "red" / "V.txt").exists()
 
+    def test_reduce_without_errors_refuses_a_nonfinite_error_scale(self, capsys, tmp_path):
+        # --no-errors leaves the grid unused, but a given scale is still checked
+        main(["assemble", "--model", "msd", "--degree", "0", "--out", str(tmp_path / "g")])
+        with pytest.raises(ValueError, match="omega_scale must be finite"):
+            main(["reduce", "--manifest", str(tmp_path / "g"), "--rmax", "3", "--no-errors",
+                  "--omega-scale", "inf", "--out", str(tmp_path / "red")])
+        assert not (tmp_path / "red" / "V.txt").exists()
+
     @pytest.mark.parametrize("flags, message", [
         (["--omega-scale", "0"], "omega_scale must be positive"),
         (["--omega-scale", "-1"], "omega_scale must be positive"),

@@ -9,13 +9,16 @@ import sgmor.mor
 from sgmor import (
     FrequencyRule,
     LTISystem,
+    RunConfig,
     arnoldi,
     error_reference,
     h2_relative_error,
     pencil_spectrum,
     reduce,
+    shifted_solver,
     stability_sweep,
 )
+from sgmor.bench import project
 
 from _gen import (random_orthonormal, random_stable_generalized, random_stable_ode,
                   random_stable_sparse, transfer_eval)
@@ -36,6 +39,27 @@ class TestArnoldi:
         assert not res.breakdown
         assert res.rank == 8
         assert_allclose(res.V.T @ res.V, np.eye(8), atol=1e-12)
+
+    @pytest.mark.parametrize("model, degree", [("bpf", 1), ("msd", 2)])
+    def test_basis_bit_for_bit_as_the_plain_loop(self, model, degree):
+        # the update reads a row-major copy of V; the basis must not move
+        # by a bit, since BPF's high orders follow its rounding
+        cfg = RunConfig(model=model, degree=degree)
+        fom = project(cfg)[2]
+        s0, r_max = cfg.expansion_point, cfg.r_max
+        solve = shifted_solver(fom.E, fom.A, s0)
+        v = solve(fom.B.ravel())
+        V = np.empty((fom.n, r_max))
+        V[:, 0] = v / np.linalg.norm(v)
+        for j in range(1, r_max):
+            w = solve(np.asarray(fom.E @ V[:, j - 1]).ravel())
+            for _ in range(2):
+                for i in range(j):
+                    w -= (V[:, i] @ w) * V[:, i]
+            V[:, j] = w / np.linalg.norm(w)
+        res = arnoldi(fom.E, fom.A, fom.B, s0, r_max)
+        assert not res.breakdown
+        assert np.array_equal(res.V, V)
 
     def test_moment_matching_at_expansion_point(self):
         rng = np.random.default_rng(62)

@@ -561,18 +561,21 @@ def per_shift_projection(E, A, V, rule):
 
 @pytest.fixture(scope="module")
 def sparse_pencils():
-    """MSD degree 2, and BPF degree 1 with its zero source-current diagonal."""
+    """MSD degree 2, BPF degree 1 with its zero source-current diagonal, and
+    MSD degree 1 as a dense pencil, whose solver keeps the natural order."""
     out = {}
-    for model, degree in (("msd", 2), ("bpf", 1)):
+    for key, model, degree in (("msd", "msd", 2), ("bpf", "bpf", 1), ("dense", "msd", 1)):
         cfg = RunConfig(model=model, degree=degree)
         fom = project(cfg)[2]
+        if key == "dense":
+            fom = LTISystem(E=fom.E.toarray(), A=fom.A.toarray(), B=fom.B, C=fom.C)
         V = np.linalg.qr(np.random.default_rng(37).standard_normal((fom.n, 4)))[0]
-        out[model] = (cfg, fom, V)
+        out[key] = (cfg, fom, V)
     return out
 
 
 class TestSparsePencil:
-    @pytest.mark.parametrize("model", ["msd", "bpf"])
+    @pytest.mark.parametrize("model", ["msd", "bpf", "dense"])
     @pytest.mark.parametrize("n_nodes", [16, 15], ids=["even", "odd"])
     def test_matches_per_shift_factorization(self, sparse_pencils, model, n_nodes):
         # an odd rule starts at omega = 0, where 0 E - A drops E's entries
@@ -590,6 +593,34 @@ class TestSparsePencil:
         WX = freq_projection(fom.E, fom.A, V, rule, X)[2]
         WX_ref = per_shift_projection(fom.E, fom.A, V, rule).T @ X
         assert_allclose(WX, WX_ref, rtol=1e-12, atol=1e-12 * np.abs(WX_ref).max())
+
+    @pytest.mark.parametrize("model", ["msd", "bpf", "dense"])
+    def test_solve_shifts_in_the_pencils_row_order(self, sparse_pencils, model):
+        # row a of each solution is natural row solver.rows[a]; a second
+        # loop on the ordered pencil factors its first shift reordered too
+        cfg, fom, V = sparse_pencils[model]
+        shifts = 1j * FrequencyRule.gauss(15, omega_scale=cfg.stab_scale).half()[0]
+        rhs = np.hstack([fom.E @ V, fom.B])
+        solver = sgmor.systems._pencil(fom.E, fom.A)
+        for part in (shifts, shifts[:2]):
+            solutions = list(solver.solve_shifts(part, rhs))
+            assert len(solutions) == len(part)
+            assert (solver.rows is None) == (model == "dense")
+            rows = slice(None) if solver.rows is None else solver.rows
+            for s, Y in zip(part, solutions):
+                ref = per_shift_solver(fom.E, fom.A, s)(rhs)[rows]
+                assert_allclose(Y, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("model, degree", [("msd", 1), ("bpf", 1)])
+    def test_transfer_matches_dense_path(self, model, degree):
+        # the sparse loop meets C's permuted columns; the dense path solves
+        # stacked pencils in the natural order
+        cfg = RunConfig(model=model, degree=degree)
+        fom = project(cfg)[2]
+        dense = LTISystem(E=fom.E.toarray(), A=fom.A.toarray(), B=fom.B, C=fom.C)
+        omegas = FrequencyRule.gauss(15, omega_scale=cfg.stab_scale).half()[0]
+        H, H_dense = transfer_on_grid(fom, omegas), transfer_on_grid(dense, omegas)
+        assert_allclose(H, H_dense, rtol=1e-12, atol=1e-12 * np.abs(H_dense).max())
 
     @pytest.mark.parametrize("n_nodes", [16, 15], ids=["even", "odd"])
     def test_one_ordering_per_call(self, sparse_pencils, monkeypatch, n_nodes):
