@@ -3,13 +3,17 @@
 One-sided Arnoldi builds an orthonormal basis of the moment-matching Krylov
 space at an expansion point; Petrov-Galerkin projection with an optional
 separate left factor produces the reduced matrices.  A sweep takes one
-reduced system of the largest order, classifies the stability of the
-pencil of each of its leading blocks, and optionally attaches relative H2
-errors (h2_relative_error's code path), emitting a CSV-ready report.  The
-full-order side of those errors, the reference's transfer values on the
-error grid, is an ErrorReference value: error_reference evaluates it once,
-and a caller that sweeps one system many times passes the same value to
-each sweep.  Nothing here is remembered between calls.
+reduced system of the largest order and classifies the stability of the
+pencil of each of its leading blocks, one QZ per order.  Optionally it
+attaches relative H2 errors: every order's from one elimination without
+pivoting per grid point of a pencil bordered by the output's R factor,
+whose leading blocks are the orders.  h2_relative_error evaluates a single
+reduced model with transfer_on_grid instead, as does the sweep for an
+order whose elimination meets a zero or tiny pivot.  The full-order side
+of those errors, the reference's transfer values on the error grid, is an
+ErrorReference value: error_reference evaluates it once, and a caller that
+sweeps one system many times passes the same value to each sweep.  Nothing
+here is remembered between calls.
 """
 
 import csv
@@ -23,6 +27,15 @@ from .systems import (LTISystem, _as_dense, _weighted_energy, pencil_spectrum,
                       shifted_solver, transfer_on_grid)
 
 BREAKDOWN_RTOL = 1e-13
+# Bytes of one chunk of stability_sweep's bordered grid pencils, complex
+# (r_max + outputs, r_max + inputs, points) with at most r_max output rows:
+# 26 points at r_max 30 and one input.
+_SWEEP_CHUNK_BYTES = 3 * 2 ** 18
+# A pivot of that elimination at most this fraction of its pencil's largest
+# entry may have grown the later orders' entries past trust; the sweep
+# evaluates those orders on their own (the shipped reductions' smallest
+# ratio is ~1e-3).
+_PIVOT_RTOL = 1e-6
 
 
 @dataclass(eq=False)
@@ -204,34 +217,94 @@ def h2_relative_error(fom: LTISystem, rom: LTISystem,
     return _relative_error_fn(error_reference(fom, rule), rom)(rom)
 
 
+def _leading_block_errors(reference: ErrorReference, rom: LTISystem) -> np.ndarray:
+    """sum_j w_j ||H_ref(i omega_j) - H_r(i omega_j)||_F^2 for every leading
+    block r = 1..rom.n of rom, from one elimination per grid point.
+
+    With the thin QR C = Q R (R upper trapezoidal, so C[:, :r] = Q R[:, :r]),
+    Gaussian elimination without pivoting of the bordered pencil
+    [[s E - A, B], [R, 0]] leaves -R[:, :r] (s E_r - A_r)^-1 B_r in its
+    corner after pivot r, for every r at once.  Order r's error at s is then
+    ||(I - Q Q^T) H_ref||^2 + ||Q^T H_ref + corner||^2, a sum of squares.
+    A zero pivot, or one of at most _PIVOT_RTOL times the largest entry of
+    s E - A, leaves that order and every later one NaN instead of raising;
+    the caller evaluates those orders anew.
+    """
+    E, A, B, C = (_as_dense(X) for X in (rom.E, rom.A, rom.B, rom.C))
+    n, n_in = B.shape
+    Q, R = np.linalg.qr(C)
+    k = R.shape[0]
+    H, weights = reference.values, reference.weights
+    QtH = Q.T @ H
+    err2 = np.full(n, _weighted_energy(weights, H - Q @ QtH))
+    QtH = QtH.transpose(1, 2, 0)
+    s = 1j * reference.omegas
+    step = max(1, _SWEEP_CHUNK_BYTES // (16 * (n + k) * (n + n_in)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(0, s.size, step):
+            # grid points last, so that each update runs along them
+            sc = s[lo:lo + step]
+            M = np.zeros((n + k, n + n_in, sc.size), dtype=complex)
+            np.multiply(E[:, :, None], sc, out=M[:n, :n])
+            M[:n, :n] -= A[:, :, None]
+            M[:n, n:] = B[:, :, None]
+            M[n:, :n] = R[:, :, None]
+            floor = _PIVOT_RTOL * np.abs(M[:n, :n]).max(axis=(0, 1))
+            miss = np.empty((n, sc.size))
+            for p in range(n):
+                # rows of R past p are zero in column p, so elimination has
+                # not reached them yet
+                hi = n + min(p + 1, k)
+                lower = M[p + 1:hi, p] / M[p, p]
+                M[p + 1:hi, p + 1:] -= lower[:, None] * M[p, p + 1:]
+                miss[p] = np.sum(np.abs(QtH[..., lo:lo + step] + M[n:, n:]) ** 2,
+                                 axis=(0, 1))
+            # the pivots stay on M's diagonal
+            small = np.abs(M[np.arange(n), np.arange(n)]) <= floor
+            miss[np.logical_or.accumulate(small, axis=0)] = np.nan
+            err2 += miss @ weights[lo:lo + step]
+    return err2
+
+
 def stability_sweep(rom: LTISystem,
                     reference: ErrorReference | None = None) -> StabilityReport:
     """Classify the stability of every order r = 1..rom.n of one reduction.
 
     rom is the reduced system of the largest order; the model of order r is
     its leading block E[:r, :r], A[:r, :r], B[:r], C[:, :r], which is
-    exactly the projection onto the first r columns of its bases.
+    exactly the projection onto the first r columns of its bases.  Each
+    order's pencil gets its own QZ.
 
     With reference given (error_reference of the projected system), each
-    order also gets its relative H2 error on the reference's grid, one
-    transfer_on_grid call that solves all grid points in one stacked call;
-    an input or output count that differs from rom's raises ValueError
-    before any order is classified.
+    order also gets its relative H2 error on the reference's grid.  All
+    orders come from one pass over the grid (_leading_block_errors): per
+    chunk of points, one elimination without pivoting of the bordered
+    pencils of order rom.n, whose leading blocks are the orders.  An order
+    the pass leaves NaN, at or past a zero or tiny pivot, is evaluated on
+    its own leading block by transfer_on_grid, which names a singular point
+    in that row's note; every other order keeps the pass's value.  An input
+    or output count that differs from rom's raises ValueError before any
+    order is classified.
 
     A failure at one order (its QZ, or a singular reduced pencil on the
     grid) is recorded in that row's note and the sweep continues.  Failed
     rows are listed in failed_orders, not in unstable_orders.
     """
-    error = None if reference is None else _relative_error_fn(reference, rom)
+    if reference is not None:
+        error = _relative_error_fn(reference, rom)
+        err2 = _leading_block_errors(reference, rom)
     rows = []
     for r in range(1, rom.n + 1):
         try:
             lead = LTISystem(E=rom.E[:r, :r], A=rom.A[:r, :r], B=rom.B[:r],
                              C=rom.C[:, :r])
             spectrum = pencil_spectrum(lead.E, lead.A)
-            stable = bool(spectrum.abscissa < 0)
-            rows.append(SweepRow(r=r, stable=stable, abscissa=float(spectrum.abscissa),
-                                 rel_h2_error=None if error is None else error(lead)))
+            rel = None
+            if reference is not None:
+                rel = (float(np.sqrt(err2[r - 1] / reference.energy))
+                       if np.isfinite(err2[r - 1]) else error(lead))
+            rows.append(SweepRow(r=r, stable=bool(spectrum.abscissa < 0),
+                                 abscissa=float(spectrum.abscissa), rel_h2_error=rel))
         except Exception as exc:
             rows.append(SweepRow(r=r, stable=False, abscissa=float("nan"),
                                  rel_h2_error=None, note=str(exc)))

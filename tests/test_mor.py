@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -233,24 +234,10 @@ class TestStabilitySweep:
         assert report.failed_orders == [1, 2]
         assert report.unstable_orders == []
 
-    @pytest.mark.parametrize("with_w", [False, True], ids=["V", "VW"])
-    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
-    def test_matches_per_order_loop(self, sparse, with_w):
-        # one reduced system of order r_max sliced per order, against one
-        # projection per order and one factorization per grid point
-        rng = np.random.default_rng(78)
-        n = 40
-        if sparse:
-            E, A = random_stable_sparse(rng, n)
-        else:
-            E, A = random_stable_generalized(rng, n, margin=0.3)
-        C = rng.standard_normal((2, n))
-        fom = LTISystem(E=E, A=A, B=rng.standard_normal((n, 1)),
-                        C=sp.csr_matrix(C) if sparse else C)
-        V = arnoldi(fom.E, fom.A, fom.B, s0=0.5, r_max=12).V
-        W = V + 0.3 * rng.standard_normal(V.shape) if with_w else None
-        rule = FrequencyRule.gauss(60)
-
+    @staticmethod
+    def per_order_loop(fom, V, W, rule):
+        """(flags, abscissas, errors) of one projection per order and one
+        factorization per grid point."""
         omegas, weights = rule.half()
 
         def on_grid(sys):
@@ -267,12 +254,105 @@ class TestStabilitySweep:
             flags.append(bool(a < 0))
             absc.append(a)
             errs.append(np.sqrt(energy(H - on_grid(red)) / energy(H)))
+        return flags, absc, errs
 
+    @pytest.mark.parametrize("case", ["dense-V", "dense-VW", "sparse-V", "sparse-VW",
+                                      "outputs-45", "inputs-2", "msd1-none"])
+    def test_matches_per_order_loop(self, case):
+        # one reduced system of order r_max sliced per order, against one
+        # projection per order and one factorization per grid point.  With
+        # 45 outputs at r_max 12, part of H_ref lies outside the span of the
+        # reduced C; MSD degree 1 without stabilization has unstable orders.
+        rng = np.random.default_rng(78)
+        if case == "msd1-none":
+            cfg = RunConfig(model="msd", degree=1, technique="none")
+            fom = project(cfg)[2]
+            V = arnoldi(fom.E, fom.A, fom.B, cfg.expansion_point, cfg.r_max).V
+            W = None
+            rule = FrequencyRule.gauss(cfg.error_nodes, omega_scale=cfg.omega_scale)
+        else:
+            n = 40
+            n_out = 45 if case == "outputs-45" else 2
+            n_in = 2 if case == "inputs-2" else 1
+            sparse = case.startswith("sparse")
+            if sparse:
+                E, A = random_stable_sparse(rng, n)
+            else:
+                E, A = random_stable_generalized(rng, n, margin=0.3)
+            C = rng.standard_normal((n_out, n))
+            fom = LTISystem(E=E, A=A, B=rng.standard_normal((n, n_in)),
+                            C=sp.csr_matrix(C) if sparse else C)
+            V = arnoldi(fom.E, fom.A, fom.B[:, :1], s0=0.5, r_max=12).V
+            W = V + 0.3 * rng.standard_normal(V.shape) if case.endswith("VW") else None
+            rule = FrequencyRule.gauss(60)
+
+        flags, absc, errs = self.per_order_loop(fom, V, W, rule)
         report = stability_sweep(reduce(fom, V, W), error_reference(fom, rule))
         assert report.failed_orders == []
         assert [row.stable for row in report.rows] == flags
         assert_allclose([row.abscissa for row in report.rows], absc, rtol=1e-12)
         assert_allclose([row.rel_h2_error for row in report.rows], errs, rtol=1e-12)
+        if case == "msd1-none":
+            assert report.unstable_orders[:4] == [5, 7, 8, 13]
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-10], ids=["zero-pivot", "tiny-pivot"])
+    def test_singular_order_fails_alone(self, delta):
+        # order 2's leading block, E = I and A = [[delta, w], [-w, 0]], is
+        # singular at the grid node s = i w when delta is 0; w = 2 makes the
+        # second pivot exactly zero however an LU divides.  A delta of 1e-10
+        # leaves a pivot of ~delta, past which elimination without pivoting
+        # would grow every later order's entries.  The bordering rows and
+        # columns keep order 1 and every order past 2 regular on the grid.
+        rng = np.random.default_rng(82)
+        fom = make_fom(rng, 8)
+        gauss = FrequencyRule.gauss(40)
+        omegas = gauss.omegas.copy()
+        w = omegas[9] = 2.0  # between its neighbours 1.77 and 2.19
+        rule = FrequencyRule(omegas=omegas, weights=gauss.weights)
+        n = 6
+        A = -2.0 * np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        A[:2, :2] = [[delta, w], [-w, 0.0]]
+        rom = LTISystem(E=np.eye(n), A=A, B=rng.standard_normal((n, 1)),
+                        C=rng.standard_normal((1, n)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = stability_sweep(rom, error_reference(fom, rule))
+        regular = report.rows
+        if delta == 0.0:
+            assert report.failed_orders == [2]
+            prefix = "(sE - A) is singular at s = "
+            note = report.rows[1].note
+            assert note.startswith(prefix) and complex(note[len(prefix):]) == 1j * w
+            regular = report.rows[:1] + report.rows[2:]
+        else:
+            assert report.failed_orders == []
+        omegas, weights = rule.half()
+        H = np.array([transfer_eval(fom, 1j * om) for om in omegas])
+        energy = np.sum(weights * np.sum(np.abs(H) ** 2, axis=(1, 2)))
+        for row in regular:
+            r = row.r
+            lead = LTISystem(E=rom.E[:r, :r], A=rom.A[:r, :r], B=rom.B[:r], C=rom.C[:, :r])
+            miss = H - np.array([transfer_eval(lead, 1j * om) for om in omegas])
+            err = np.sqrt(np.sum(weights * np.sum(np.abs(miss) ** 2, axis=(1, 2))) / energy)
+            assert_allclose(row.rel_h2_error, err, rtol=1e-12)
+            assert row.abscissa == pencil_spectrum(lead.E, lead.A).abscissa
+
+    def test_sweep_memory(self):
+        # the bordered pencils go in chunks of grid points: at r_max 30, 171
+        # outputs and 100 points, one sweep with errors allocates at most 2 MB
+        rng = np.random.default_rng(83)
+        fom = make_fom(rng, 60, n_out=171)
+        rom = reduce(fom, arnoldi(fom.E, fom.A, fom.B, s0=0.5, r_max=30).V)
+        reference = error_reference(fom, FrequencyRule.gauss(200))
+        assert reference.values.shape == (100, 171, 1)
+        tracemalloc.start()
+        try:
+            report = stability_sweep(rom, reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.failed_orders == []
+        assert peak <= 2e6, peak
 
     def test_error_reference_io_checked(self):
         # an error reference with another output count than the reduced
@@ -324,8 +404,11 @@ class TestErrorReference:
         second = stability_sweep(rom, reference)
         assert evaluated.count(fom.n) == 1
         assert second.rows == first.rows
-        # h2_relative_error takes the same path with a reference of its own
-        assert h2_relative_error(fom, rom, rule) == first.rows[-1].rel_h2_error
+        # h2_relative_error evaluates rom on its own with transfer_on_grid and
+        # a reference of its own; the sweep reaches the same order through
+        # one elimination of all orders, so the two agree to rounding
+        assert_allclose(h2_relative_error(fom, rom, rule), first.rows[-1].rel_h2_error,
+                        rtol=1e-12)
         assert evaluated.count(fom.n) == 2
 
     def test_arrays_are_read_only(self, sparse_case):
