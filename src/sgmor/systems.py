@@ -5,10 +5,13 @@ pencil (E, A) and their abscissa, the dissipativity test (E symmetric
 positive definite together with A + A^T negative definite), the shifted
 solve (s E - A)^-1 b that every other module factors through,
 transfer-function evaluation, and the adaptive H2 norm by quadrature on the
-imaginary axis (relative H2 errors are in mor, beside the sweep).  Besides
-dense and sparse matrices, E and A may be a NodeKronSum, the node-sum
-operator that quadrature re-assembly returns; the shifted solve runs
-preconditioned GMRES on it.
+imaginary axis (relative H2 errors are in mor, beside the sweep).  A sparse
+pencil whose position rows read s q - v exactly, as every chaos block of
+the mechanical family's does, is solved in second-order form at half the
+dimension; the split is read off E and A, not declared.  Besides dense and
+sparse matrices, E and A may be a NodeKronSum, the node-sum operator that
+quadrature re-assembly returns; the shifted solve runs preconditioned GMRES
+on it.
 """
 
 import contextlib
@@ -391,10 +394,14 @@ def _pencil(E, A):
     natural order.  They are not tested for finiteness; the caller tests
     what it forms from them.  Work that does not depend on s is done once
     per pencil.  A dense K is factored by LAPACK getrf (_dense_solver), a
-    sparse one by SuperLU (_SparsePencil), and a NodeKronSum one, technique
-    ii's re-assembled system, is solved by GMRES with a node-wise
-    preconditioner (_node_sum_solver) whose S G^-1, with G the chaos Gram
-    matrix, is formed here.  A singular K, a Gram matrix that fails the test
+    sparse one by SuperLU: in second-order form, at half the dimension,
+    when E and A split exactly into position and velocity rows
+    (_second_order_pencil), as MSD's do, and as it is otherwise
+    (_SparsePencil), as BPF's is; the split took a cold MSD degree 3
+    technique-i run with errors from 6.7-8.1 to 2.3-2.7 s.  A NodeKronSum
+    one, technique ii's re-assembled system, is solved by GMRES with a
+    node-wise preconditioner (_node_sum_solver) whose S G^-1, with G the
+    chaos Gram matrix, is formed here.  A singular K, a Gram matrix that fails the test
     of assemble_via_quadrature (_definite_gram), a singular node matrix of a
     NodeKronSum K, a non-finite solution of solve or GMRES that misses
     _GMRES_RTOL raises ValueError naming s; a NodeKronSum E whose A is not
@@ -408,7 +415,8 @@ def _pencil(E, A):
         return _PencilSolver(lambda s: _node_sum_solver(
             NodeKronSum(E.S, E.w, s * E.X - A.X), SG, _singular(s)))
     if sp.issparse(E) or sp.issparse(A):
-        return _SparsePencil(E, A)
+        split = _second_order_pencil(E, A)
+        return _SparsePencil((A, E)) if split is None else split
     return _PencilSolver(lambda s: _dense_solver(E, A, s))
 
 
@@ -480,48 +488,58 @@ def _scipy_blas_serial():
 
 
 class _SparsePencil(_PencilSolver):
-    """SuperLU factorizations of a sparse pencil s E - A at any shifts.
+    """SuperLU factorizations of a sparse matrix polynomial in s at any shifts.
 
-    Called with s, it returns solve as _pencil describes.  A real shift
-    (Arnoldi's) factors K = s E - A of the caller's E and A.  When K's
-    diagonal has no zero entry, as on MSD (min |d| / max |d| = 0.68), it
-    takes _SYMMETRIC_SPLU: on MSD degree 3 the fill falls from 2.36M to
-    0.36M and the factorization from ~0.5 s to ~45 ms.  Otherwise it keeps
-    SuperLU's defaults, COLAMD and partial pivoting.  BPF's regularized MNA
-    pencil has exact zeros on its diagonal at the source-current rows, and
-    BPF degree 2's Krylov basis past order 15 is determined by rounding, so
-    another pivot order would move those orders' H2 errors (by up to 9.3%
-    with _SYMMETRIC_SPLU).  At the first complex shift, E and A are laid
-    on the union of their patterns, that of |E| + |A|: 0 E - A would drop
-    E's entries (7497 nonzeros instead of 8532 on MSD degree 2), and an
-    ordering of that pattern would not suit the other shifts.  That shift is
-    factored with _SYMMETRIC_SPLU, and its column permutation P (the
-    minimum-degree ordering, postordered by SuperLU) is applied to E and A
-    symmetrically once.  Every later complex shift writes s E - A into one
-    reused buffer and factors P (s E - A) P^T with the ordering "NATURAL"
-    and the same pivot options; its solve permutes the right-hand side and
-    un-permutes the solution.  Skipping the ordering cut a factorization
-    from 2.7 to 1.5 ms on MSD degree 2, from 5.2 to 3.6 ms on BPF degree 2
-    and from 140 to 64 ms on MSD degree 3.
+    coeffs = (C_0, C_1, ..., C_d) holds K(s) = s^d C_d + ... + s C_1 - C_0:
+    (A, E) for the pencil s E - A, and (-K, D, M) for _SecondOrderPencil's
+    s^2 M + s D + K of stiffness K, damping D and mass M.  K(s) is formed by
+    Horner's rule, s (... (s C_d + C_{d-1}) ...) - C_0, so that a pencil is
+    formed as s E - A itself.  Called with s, it returns solve as _pencil
+    describes.  A real shift (Arnoldi's) factors K(s) of the caller's
+    matrices.  When its diagonal has no zero entry, as on MSD
+    (min |d| / max |d| = 0.68 in first-order form at s = 0.7, 0.47 in
+    second-order form), it takes _SYMMETRIC_SPLU: on MSD degree 3's
+    first-order pencil the fill falls from 2.36M to 0.36M and the
+    factorization from ~0.5 s to ~45 ms.  Otherwise it keeps SuperLU's
+    defaults, COLAMD and partial pivoting.
+    BPF's regularized MNA pencil has exact zeros on its diagonal at the
+    source-current rows, and BPF degree 2's Krylov basis past order 15 is
+    determined by rounding, so another pivot order, or another rounding of
+    sp.csc_matrix(s * E - A), would move those orders' H2 errors (by up to
+    9.3% with _SYMMETRIC_SPLU).  At the first complex shift, the
+    coefficients are laid on the union of their patterns, that of
+    |C_0| + ... + |C_d|: 0 E - A would drop E's entries (7497 nonzeros
+    instead of 8532 on MSD degree 2), and an ordering of that pattern would
+    not suit the other shifts.  That shift is factored with _SYMMETRIC_SPLU,
+    and its column permutation P (the minimum-degree ordering, postordered
+    by SuperLU) is applied to every coefficient symmetrically once.  Every
+    later complex shift writes K(s) into one reused buffer and factors
+    P K(s) P^T with the ordering "NATURAL" and the same pivot options; its
+    solve permutes the right-hand side and un-permutes the solution.
+    Skipping the ordering cut a first-order factorization from 2.7 to
+    1.5 ms on MSD degree 2, from 5.2 to 3.6 ms on BPF degree 2 and from 140
+    to 64 ms on MSD degree 3.
 
-    solve_shifts takes every shift as a complex one.  It permutes the block
-    once, as a complex Fortran array, and yields SuperLU's own solution of
-    each later shift in the permuted row order: a solution's row a is
-    natural row rows[a], rows being the inverse of the ordering perm.  The
-    first shift of an unordered pencil is solved in natural order and its
-    solution permuted once.  Without per-shift copies of the block and of
+    solve_shifts(shifts, rhs, slope=None) takes every shift as a complex
+    one, with the right-hand side rhs + s slope at shift s (rhs alone
+    without a slope).  It permutes both once, rhs as a complex Fortran
+    array, and yields SuperLU's own solution of each later shift in the
+    permuted row order: a solution's row a is natural row rows[a], rows
+    being the inverse of the ordering perm.  The first shift of an
+    unordered pencil is solved in natural order and its solution permuted
+    once.  Without per-shift copies of the block and of
     its solution, a warm MSD degree 2 technique-i call took 15k instead of
     23k minor page faults.
     """
 
-    def __init__(self, E, A):
-        self.E, self.A = E, A
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
         self.K = self.perm = None
 
     def __call__(self, s):
         singular = _singular(s)
-        if np.result_type(s, self.E.dtype, self.A.dtype).kind != "c":
-            K = sp.csc_matrix(s * self.E - self.A)
+        if np.result_type(s, *(C.dtype for C in self.coeffs)).kind != "c":
+            K = sp.csc_matrix(self._evaluate(s))
             options = _SYMMETRIC_SPLU if np.all(K.diagonal()) else {}
             return _superlu_solver(_splu(K, singular, options), singular)
         if self.perm is None:
@@ -529,46 +547,175 @@ class _SparsePencil(_PencilSolver):
         lu = _splu(self._shifted(s), singular, _REORDERED_SPLU)
         return _superlu_solver(lu, singular, self.perm, self.rows)
 
-    def solve_shifts(self, shifts, rhs):
+    def solve_shifts(self, shifts, rhs, slope=None):
         shifts = iter(shifts)
         if self.perm is None:
             s = next(shifts, None)
             if s is None:
                 return
-            yield self._order(s).solve(rhs)[self.rows]
+            yield self._order(s).solve(rhs if slope is None else rhs + s * slope)[self.rows]
         rhs = np.asfortranarray(np.asarray(rhs)[self.rows], dtype=complex)
+        if slope is not None:
+            slope, buffer = np.asfortranarray(np.asarray(slope)[self.rows]), np.empty_like(rhs)
         for s in shifts:
+            if slope is not None:  # SuperLU solves a copy, so the buffer is reused
+                np.multiply(slope, s, out=buffer)
+                buffer += rhs
             # the factorization is a temporary: freed once it has solved
-            yield _splu(self._shifted(s), _singular(s), _REORDERED_SPLU).solve(rhs)
+            yield _splu(self._shifted(s), _singular(s), _REORDERED_SPLU).solve(
+                rhs if slope is None else buffer)
+
+    def _evaluate(self, s):
+        """K(s) of the caller's coefficients, as sparse matrix arithmetic."""
+        C_0, *rest = self.coeffs
+        K = rest[-1]
+        for C in rest[-2::-1]:
+            K = s * K + C
+        return s * K - C_0
 
     def _shifted(self, s):
-        """K = s E - A on the held pattern, written into K's own data."""
-        np.multiply(self.Eu, s, out=self.K.data)
-        self.K.data -= self.Au
+        """K(s) on the held pattern, written into K's own data."""
+        C_0, *rest = self.Cu
+        data = self.K.data
+        np.multiply(rest[-1], s, out=data)
+        for C in rest[-2::-1]:
+            data += C
+            data *= s
+        data -= C_0
         return self.K
 
     def _order(self, s):
         """Factor the first complex shift with _SYMMETRIC_SPLU and permute
-        the pencil by its ordering; returns the factorization."""
-        E, A = sp.coo_matrix(self.E), sp.coo_matrix(self.A)
-        at = (np.r_[E.row, A.row], np.r_[E.col, A.col])
-        # one canonical CSC structure for both, from the same coordinates
-        Eu = sp.csc_matrix((np.r_[E.data, np.zeros(A.nnz, A.dtype)], at), E.shape)
-        Au = sp.csc_matrix((np.r_[np.zeros(E.nnz, E.dtype), A.data], at), E.shape)
-        self.Eu, self.Au = Eu.data, Au.data
-        self.K = sp.csc_matrix((np.empty(Eu.nnz, complex), Eu.indices, Eu.indptr), E.shape)
+        the coefficients by its ordering; returns the factorization."""
+        coos = [sp.coo_matrix(C) for C in self.coeffs]
+        shape = coos[0].shape
+        at = (np.concatenate([C.row for C in coos]), np.concatenate([C.col for C in coos]))
+        # one canonical CSC structure for all, from the same coordinates
+        ends = np.cumsum([0] + [C.nnz for C in coos])
+        union = []
+        for C, lo, hi in zip(coos, ends, ends[1:]):
+            data = np.zeros(ends[-1], C.dtype)
+            data[lo:hi] = C.data
+            union.append(sp.csc_matrix((data, at), shape))
+        U = union[0]
+        self.Cu = [C.data for C in union]
+        self.K = sp.csc_matrix((np.empty(U.nnz, complex), U.indices, U.indptr), shape)
         lu = _splu(self._shifted(s), _singular(s), _SYMMETRIC_SPLU)
         perm = lu.perm_c
         # P K P^T holds K[i, j] at (perm[i], perm[j]): gather by the inverse
         rows = np.argsort(perm)
-        order = sp.csc_matrix((np.arange(Eu.nnz), Eu.indices, Eu.indptr),
-                              E.shape)[rows][:, rows]
+        order = sp.csc_matrix((np.arange(U.nnz), U.indices, U.indptr), shape)[rows][:, rows]
         order.sort_indices()
-        self.Eu, self.Au = self.Eu[order.data], self.Au[order.data]
+        self.Cu = [C[order.data] for C in self.Cu]
         self.K = sp.csc_matrix((np.empty(order.nnz, complex), order.indices, order.indptr),
-                               E.shape)
+                               shape)
         self.perm, self.rows = perm, rows
         return lu
+
+
+def _second_order_pencil(E, A):
+    """The second-order solver of a sparse pencil s E - A that splits
+    exactly, or None.
+
+    The split holds when n = 2h and h position rows p each store one entry
+    of E, 1.0 at (p, p), and one of A, 1.0 at (p, v(p)); when v maps them
+    one-to-one onto the other h rows, the velocity rows; and when E stores
+    nothing in the velocity rows at the position columns.  A row p then
+    reads s x_p - x_v(p) = b_p, so the velocities are eliminated with no
+    approximation (_SecondOrderPencil).  MSD's projected system splits in
+    every chaos block, and so does one saved and reloaded from Matrix
+    Market; BPF's MNA pencil, and any near miss (an entry of 1 + 2^-52, an
+    extra stored entry, explicit zeros included), does not.
+    """
+    n = E.shape[0]
+    E, A = sp.csr_matrix(E), sp.csr_matrix(A)
+    single = np.flatnonzero((np.diff(E.indptr) == 1) & (np.diff(A.indptr) == 1))
+    e, a = E.indptr[single], A.indptr[single]
+    pos = single[(E.indices[e] == single) & (E.data[e] == 1.0) & (A.data[a] == 1.0)]
+    if 2 * pos.size != n:
+        return None
+    vel = A.indices[A.indptr[pos]]
+    is_pos = np.zeros(n, bool)
+    is_pos[pos] = True
+    if np.any(np.bincount(vel, minlength=n)[~is_pos] != 1):
+        return None
+    E_vel = E[vel]
+    if np.any(is_pos[E_vel.indices]):
+        return None
+    return _SecondOrderPencil(E_vel, A[vel], pos, vel)
+
+
+class _SecondOrderPencil(_PencilSolver):
+    """The solver of s E - A for a pencil that splits into position rows p
+    and velocity rows v (_second_order_pencil), at half the dimension.
+
+    With x = (q, v) and b = (b_1, b_2) split alike, the position rows read
+    s q - v = b_1 and the velocity rows s M v + D v + K q = b_2, where
+    M = E[v, v], D = -A[v, v] and K = -A[v, p].  So v = s q - b_1 and
+    (s^2 M + s D + K) q = b_2 + D b_1 + s M b_1, the second-order form of
+    Tisseur & Meerbergen (SIAM Rev. 43, 2001).  The h x h polynomial is
+    solved by a _SparsePencil on (-K, D, M), with its ordering, reused
+    buffer and real-shift diagonal test; this class only maps right-hand
+    sides and solutions.  solve_shifts forms b_2 + D b_1 and M b_1 once per
+    block, and yields (q; v) with the h position rows first, both in the
+    polynomial's row order: rows is (p[r], v[r]) for its rows r.
+
+    Against the first-order pencil on MSD degree 2, a complex shift's LU
+    holds 7616 instead of 14757 entries and takes 0.55 instead of 1.13 ms,
+    and its 31-column solve 0.93 instead of 1.87 ms; on MSD degree 3 the LU
+    holds 192716 instead of 358894 entries, and the real shift's takes
+    11.6 instead of 32 ms.  Eliminating v costs about eps |s| in it: the
+    residual relative to the right-hand side was 1.5e-13 at omega = 1e3 and
+    1.4e-12 at 1e4, against 1.5e-16 in first-order form; the largest node
+    in use is omega = 8851, of the 200-node error grid.
+    """
+
+    def __init__(self, E_vel, A_vel, pos, vel):
+        self.pos, self.vel = pos, vel
+        self.M, self.D = E_vel[:, vel], -A_vel[:, vel]
+        self.polynomial = _SparsePencil((A_vel[:, pos], self.D, self.M))
+
+    @property
+    def rows(self):
+        r = self.polynomial.rows
+        return None if r is None else np.r_[self.pos[r], self.vel[r]]
+
+    def _split(self, rhs):
+        """b_1, b_2 + D b_1 and M b_1 of a right-hand side."""
+        rhs = np.asarray(rhs)
+        b_1 = rhs[self.pos]
+        return b_1, rhs[self.vel] + self.D @ b_1, self.M @ b_1
+
+    def __call__(self, s):
+        solve = self.polynomial(s)
+
+        def split_solve(rhs):
+            b_1, rhs_q, slope = self._split(rhs)
+            q = solve(rhs_q + s * slope)
+            x = np.empty((2 * len(q),) + q.shape[1:], q.dtype)
+            x[self.pos] = q
+            x[self.vel] = s * q - b_1
+            return x
+
+        return split_solve
+
+    def solve_shifts(self, shifts, rhs):
+        shifts = list(shifts)
+        b_1, rhs_q, slope = self._split(rhs)
+        solutions = self.polynomial.solve_shifts(shifts, rhs_q, slope)
+        del rhs_q, slope
+        for j, s in enumerate(shifts):
+            q = next(solutions)
+            if j == 0:  # to the solutions' row order, once
+                b_1 = np.asfortranarray(b_1[self.polynomial.rows])
+            h = len(q)
+            x = np.empty((2 * h,) + q.shape[1:], complex, order="F")
+            x[:h] = q
+            np.multiply(q, s, out=x[h:])
+            x[h:] -= b_1
+            del q
+            yield x
+            del x  # the next shift is solved without this one
 
 
 def _splu(K, singular, options):

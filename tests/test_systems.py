@@ -25,9 +25,11 @@ from sgmor import (
     h2_norm,
     h2_relative_error,
     is_dissipative,
+    load_system,
     monte_carlo_rule,
     pencil_spectrum,
     reduce,
+    save_system,
     shifted_solver,
     technique_ii,
     transfer_on_grid,
@@ -561,10 +563,12 @@ def per_shift_projection(E, A, V, rule):
 
 @pytest.fixture(scope="module")
 def sparse_pencils():
-    """MSD degree 2, BPF degree 1 with its zero source-current diagonal, and
-    MSD degree 1 as a dense pencil, whose solver keeps the natural order."""
+    """MSD degrees 2 and 1, whose pencils split into second-order form, BPF
+    degree 1 with its zero source-current diagonal, and MSD degree 1 as a
+    dense pencil, whose solver keeps the natural order."""
     out = {}
-    for key, model, degree in (("msd", "msd", 2), ("bpf", "bpf", 1), ("dense", "msd", 1)):
+    for key, model, degree in (("msd", "msd", 2), ("msd1", "msd", 1), ("bpf", "bpf", 1),
+                               ("dense", "msd", 1)):
         cfg = RunConfig(model=model, degree=degree)
         fom = project(cfg)[2]
         if key == "dense":
@@ -575,7 +579,7 @@ def sparse_pencils():
 
 
 class TestSparsePencil:
-    @pytest.mark.parametrize("model", ["msd", "bpf", "dense"])
+    @pytest.mark.parametrize("model", ["msd", "msd1", "bpf", "dense"])
     @pytest.mark.parametrize("n_nodes", [16, 15], ids=["even", "odd"])
     def test_matches_per_shift_factorization(self, sparse_pencils, model, n_nodes):
         # an odd rule starts at omega = 0, where 0 E - A drops E's entries
@@ -594,7 +598,7 @@ class TestSparsePencil:
         WX_ref = per_shift_projection(fom.E, fom.A, V, rule).T @ X
         assert_allclose(WX, WX_ref, rtol=1e-12, atol=1e-12 * np.abs(WX_ref).max())
 
-    @pytest.mark.parametrize("model", ["msd", "bpf", "dense"])
+    @pytest.mark.parametrize("model", ["msd", "msd1", "bpf", "dense"])
     def test_solve_shifts_in_the_pencils_row_order(self, sparse_pencils, model):
         # row a of each solution is natural row solver.rows[a]; a second
         # loop on the ordered pencil factors its first shift reordered too
@@ -634,14 +638,20 @@ class TestSparsePencil:
 
         monkeypatch.setattr(spla, "splu", counting_splu)
         rule = FrequencyRule.gauss(n_nodes, omega_scale=cfg.stab_scale)
-        union = (abs(fom.E) + abs(fom.A)).nnz
-        assert union == 8532
+        assert (abs(fom.E) + abs(fom.A)).nnz == 8532
+        # the pencil splits: positions are states 0-4 of each chaos block of
+        # 10, velocities 5-9, and s^2 M + s D + K is what SuperLU factors
+        pos = (10 * np.arange(fom.n // 10)[:, None] + np.arange(5)).ravel()
+        vel = pos + 5
+        E_vel, A_vel = fom.E[vel], fom.A[vel]
+        union = (abs(E_vel[:, vel]) + abs(A_vel[:, vel]) + abs(A_vel[:, pos])).nnz
+        assert union == 4599
         for call in (lambda: transfer_on_grid(fom, rule.half()[0]),
                      lambda: freq_projection(fom.E, fom.A, V, rule, fom.B)):
             calls.clear()
             call()
             # one factorization per shift, and the one minimum-degree
-            # ordering is of the pattern of |E| + |A|, even at s = 0
+            # ordering is of the pattern of |M| + |D| + |K|, even at s = 0
             assert len(calls) == len(rule.half()[0])
             assert calls[0] == ("MMD_AT_PLUS_A", union)
             assert {spec for spec, _ in calls[1:]} == {"NATURAL"}
@@ -705,6 +715,92 @@ class TestSparsePencil:
                 call()
 
 
+def perturbed(M, at, value):
+    """A CSR copy of M with one entry set."""
+    M = M.tolil(copy=True)
+    M[at] = value
+    return M.tocsr()
+
+
+class TestSecondOrderPencil:
+    """MSD's pencil solved at half the dimension, v = s q - b_1 and
+    (s^2 M + s D + K) q = b_2 + (s M + D) b_1, split where E and A show it."""
+
+    @pytest.mark.parametrize("model", ["msd1", "msd"])
+    def test_matches_first_order_solve(self, sparse_pencils, model):
+        cfg, fom, _ = sparse_pencils[model]
+        solver = sgmor.systems._pencil(fom.E, fom.A)
+        assert isinstance(solver, sgmor.systems._SecondOrderPencil)
+        rhs = np.random.default_rng(43).standard_normal((fom.n, 3))
+        # a real shift (Arnoldi's), omega = 0 (an odd rule's first node) and
+        # one mid-band
+        for s in (cfg.expansion_point, 0j, 1.3j):
+            x = solver(s)(rhs)
+            ref = spla.spsolve(sp.csc_matrix(s * fom.E - fom.A), rhs)
+            assert np.isrealobj(x) == np.isrealobj(s)
+            assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        # the largest nodes in use, technique i's and the error grid's, where
+        # eliminating v costs about eps |s| in it: solved alone and in a loop
+        for n_nodes, scale in ((64, cfg.stab_scale), (200, cfg.omega_scale)):
+            s = 1j * FrequencyRule.gauss(n_nodes, omega_scale=scale).half()[0].max()
+            assert abs(s) > 900
+            K = sp.csc_matrix(s * fom.E - fom.A)
+            looped = np.empty_like(rhs, dtype=complex)
+            looped[solver.rows] = next(solver.solve_shifts([s], rhs))
+            for x in (solver(s)(rhs), looped):
+                assert np.linalg.norm(K @ x - rhs) <= 1e-11 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("case, splits", [
+        ("msd1", True), ("reloaded", True), ("inexact-one", False), ("extra-entry", False),
+        ("velocity-row-entry", False), ("bpf1", False), ("bpf2", False)])
+    def test_split_only_where_it_holds_exactly(self, sparse_pencils, tmp_path, case, splits):
+        # MSD degree 1 splits, also saved and reloaded from Matrix Market;
+        # a position row's E entry of 1 + 2^-52, a second stored entry in a
+        # position row, an E entry in a velocity row at a position column
+        # and BPF's regularized pencils stay in first-order form
+        _, fom, _ = sparse_pencils["msd1"]
+        E, A = fom.E, fom.A
+        if case == "reloaded":
+            loaded = load_system(save_system(fom, tmp_path / "msd1"))[0]
+            E, A = loaded.E, loaded.A
+        elif case == "inexact-one":
+            E = perturbed(E, (0, 0), 1.0 + 2.0 ** -52)
+        elif case == "extra-entry":
+            A = perturbed(A, (0, 0), -0.5)
+        elif case == "velocity-row-entry":
+            E = perturbed(E, (5, 0), 0.25)
+        elif case.startswith("bpf"):
+            fom = project(RunConfig(model="bpf", degree=int(case[-1])))[2]
+            E, A = fom.E, fom.A
+        solver = sgmor.systems._pencil(E, A)
+        assert isinstance(solver, sgmor.systems._SecondOrderPencil) == splits
+        if not splits:
+            assert type(solver) is sgmor.systems._SparsePencil
+        rhs = np.random.default_rng(44).standard_normal((fom.n, 2))
+        ref = spla.spsolve(sp.csc_matrix(0.9j * E - A), rhs)
+        assert_allclose(solver(0.9j)(rhs), ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def test_singular_polynomial_names_the_shift(self):
+        # E = I and A = [[0, 1], [-w^2, 0]] split into S(s) = s^2 + w^2, which
+        # is exactly singular at s = i w: alone at w = 1, and at the third
+        # node in the loop of the grid and of the frequency projection
+        E = sp.identity(2, format="csr")
+        solver = sgmor.systems._pencil(E, sp.csr_matrix([[0.0, 1.0], [-1.0, 0.0]]))
+        assert isinstance(solver, sgmor.systems._SecondOrderPencil)
+        with pytest.raises(ValueError, match=re.escape(str(1j))):
+            solver(1j)
+        rule = FrequencyRule.gauss(8)
+        omegas = rule.half()[0]
+        w = omegas[2]
+        A = sp.csr_matrix([[0.0, 1.0], [-w * w, 0.0]])
+        assert isinstance(sgmor.systems._pencil(E, A), sgmor.systems._SecondOrderPencil)
+        lti = LTISystem(E=E, A=A, B=np.ones((2, 1)), C=np.ones((1, 2)))
+        for call in (lambda: transfer_on_grid(lti, omegas),
+                     lambda: freq_projection(E, A, np.eye(2)[:, :1], rule, np.ones((2, 1)))):
+            with pytest.raises(ValueError, match=re.escape(str(1j * w))):
+                call()
+
+
 class TestTechniqueIReducedPencil:
     """Technique i's reduced pencil, made from forward solves alone, against
     the left-factor path it replaced: W = M E V from a forward and an
@@ -722,7 +818,8 @@ class TestTechniqueIReducedPencil:
         assert np.array_equal(rom.E, rom.E.T)
 
     def test_one_forward_solve_per_node(self, monkeypatch):
-        # each complex factorization solves once, forward, for E V and B
+        # each complex factorization solves once, forward, for E V and B,
+        # at half the dimension: MSD's pencil splits into second-order form
         splu = spla.splu
         solves = []
 
@@ -744,7 +841,7 @@ class TestTechniqueIReducedPencil:
         nodes = len(FrequencyRule.gauss(cfg.nodes).half()[0])
         assert {trans for _, trans, _ in solves} == {"N"}
         assert ([shape for complex_shift, _, shape in solves if complex_shift]
-                == [(fom.n, cfg.r_max + 1)] * nodes)
+                == [(fom.n // 2, cfg.r_max + 1)] * nodes)
 
 
 class TestH2Norm:
