@@ -16,7 +16,7 @@ from .bench import (MODEL_FIELDS, MODELS, TECHNIQUES, RunConfig, project,
 from .frequency import DEFAULT_NODES, FrequencyRule
 from .mmio import load_system, save_system
 from .mor import arnoldi, error_reference, h2_relative_error, reduce, stability_sweep
-from .systems import _scipy_blas_serial
+from .systems import _blas_serial
 
 
 def _run_fields(args) -> dict:
@@ -203,7 +203,7 @@ def main(argv=None) -> int:
     p_h2.set_defaults(func=_cmd_h2error)
 
     args = parser.parse_args(argv)
-    with _scipy_blas_serial():
+    with _blas_serial():
         return args.func(args)
 
 

@@ -92,13 +92,11 @@ def freq_projection(E, A, V, rule: FrequencyRule, X):
     column-major solution, and for one in second-order form (MSD's) a
     column-major block of the positions SuperLU solved for, at half the
     dimension, over the velocities formed from them.  Y_V^H Y does not
-    depend on the row order.  It is one zgemm of SciPy's BLAS reading Y in
-    place (trans_a=2), the OpenBLAS SuperLU solves with, which a pipeline
-    call keeps on one thread (systems._scipy_blas_serial).  Numpy's @ would
-    hand it to NumPy's own OpenBLAS, which keeps its threads: on a 2-core
-    machine that library's second thread then used 0.36-0.39 instead of
-    0.14 CPU-s of an MSD degree 2 technique-i call.  A non-finite product
-    names the node's shift.  The part Re Y_V^H V = Re(Y_V)^T V is linear in
+    depend on the row order.  It is one zgemm reading Y in place
+    (trans_a=2), on one thread in a pipeline call (systems._blas_serial);
+    NumPy's Y_V.conj().T @ Y would first copy Y_V conjugated, one more
+    n x r block per node.  A non-finite product names the node's shift.
+    The part Re Y_V^H V = Re(Y_V)^T V is linear in
     Y_V, so a daxpy adds Re Y_V in place into one n x r sum, in the same row
     order, which meets V, permuted alike, once at the end.  A node thus
     makes no n x r block of its own besides the solver's solution.  The first result is

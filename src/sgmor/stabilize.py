@@ -180,7 +180,7 @@ def technique_iii(fom: LTISystem, aps: AffineParamSystem, V) -> LTISystem:
     V = _as_columns(V, fom.n, "V")
     r = V.shape[1]
     blocks = np.asarray(fom.E @ V).reshape(m, n, r)
-    W = np.einsum("ij,bjr->bir", M_star, blocks).reshape(fom.n, r)
+    W = np.matmul(M_star, blocks).reshape(fom.n, r)
     return reduce(fom, V, W)
 
 

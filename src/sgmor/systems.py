@@ -112,7 +112,9 @@ class NodeKronSum:
     block is, per chunk of nodes whose n x r blocks fit in _CHUNK_BYTES,
     one GEMM with S, batched n x n products, the weights and one GEMM with
     S^T added to the result.  A complex block meets the real S, and a real X,
-    in real GEMMs (_real_matmul).  For E and A on the same S and w, s E - A
+    in real GEMMs (_real_matmul), on the caller's BLAS threads: one in a
+    pipeline call, NumPy's outside count within a node-sum solve
+    (_node_sum_threads).  For E and A on the same S and w, s E - A
     is the operator on the node matrices s X_E - X_A (_pencil); its GMRES is
     preconditioned node by node, with the inverses of its X_k
     (_node_sum_solver).
@@ -307,13 +309,26 @@ def pencil_spectrum(E, A) -> PencilSpectrum:
     Eigenvalue pairs (alpha, beta) with |beta| below
     INFINITE_EIG_RTOL * max(||E||, ||A||) count as infinite.  A pair with both
     components below that threshold signals a singular pencil and raises.
+    LAPACK ggev is called as scipy.linalg.eig calls it, with the same
+    workspace query, so (alpha, beta) are eig's to the bit, without its
+    per-call wrapper: 30 leading blocks of BPF degree 2 took 3.4 instead of
+    6.0 ms.  Non-finite input and a QZ that fails raise ValueError.
     """
     Ed = _as_dense(E)
     Ad = _as_dense(A)
     n = Ed.shape[0]
     if Ed.shape != (n, n) or Ad.shape != (n, n):
         raise ValueError("E and A must be square and equally sized")
-    alpha, beta = sla.eig(Ad, Ed, right=False, homogeneous_eigvals=True)
+    if n == 0:
+        raise ValueError("pencil has no finite eigenvalues")
+    if not (np.all(np.isfinite(Ad)) and np.all(np.isfinite(Ed))):
+        raise ValueError("array must not contain infs or NaNs")
+    ggev = sla.get_lapack_funcs("ggev", (Ad, Ed))
+    lwork = int(ggev(Ad, Ed, lwork=-1)[-2][0].real)
+    alphar, alphai, beta, _, _, _, info = ggev(Ad, Ed, 0, 0, lwork)
+    if info != 0:
+        raise ValueError(f"QZ (ggev) failed with LAPACK info = {info}")
+    alpha = alphar + 1j * alphai
     scale = max(np.linalg.norm(Ed), np.linalg.norm(Ad), 1e-300)
     tol = INFINITE_EIG_RTOL * scale
     tiny_beta = np.abs(beta) < tol
@@ -438,49 +453,106 @@ class _PencilSolver:
             yield self(s)(rhs)
 
 
-@functools.cache
-def _scipy_openblas():
-    """(get, set) of the thread count of the OpenBLAS bundled with the SciPy
-    wheel, or None where SciPy links no such library (conda, a system BLAS,
-    other platforms).  Looked up at first use, not at import."""
-    libs = Path(scipy.__file__).resolve().parents[1] / "scipy.libs"
-    for so in sorted(libs.glob("*openblas*.so*")):
-        lib = ctypes.CDLL(str(so))
-        for prefix in ("scipy_openblas_", "openblas_"):
-            for suffix in ("64_", ""):
-                names = (f"{prefix}get_num_threads{suffix}",
-                         f"{prefix}set_num_threads{suffix}")
-                if all(hasattr(lib, name) for name in names):
-                    get, set_ = (getattr(lib, name) for name in names)
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    return get, set_
+def _openblas_threads(so):
+    """(get, set) of the thread count of the OpenBLAS at path so, or None
+    where it exports no known thread-count symbol."""
+    lib = ctypes.CDLL(str(so))
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            names = (f"{prefix}get_num_threads{suffix}",
+                     f"{prefix}set_num_threads{suffix}")
+            if all(hasattr(lib, name) for name in names):
+                get, set_ = (getattr(lib, name) for name in names)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
     return None
 
 
-@contextlib.contextmanager
-def _scipy_blas_serial():
-    """Run SciPy's bundled OpenBLAS on the calling thread alone, and restore
-    its thread count on exit, also when the body raises.
+@functools.cache
+def _bundled_openblas() -> dict:
+    """{"numpy": (get, set), "scipy": (get, set)}: the thread count of the
+    OpenBLAS bundled with each of the NumPy and SciPy wheels, for each wheel
+    that has one (none under conda, a system BLAS, other platforms).
+    Looked up at first use, not at import."""
+    found = {}
+    for module in (np, scipy):
+        libs = Path(module.__file__).resolve().parents[1] / f"{module.__name__}.libs"
+        for so in sorted(libs.glob("*openblas*.so*")):
+            blas = _openblas_threads(so)
+            if blas is not None:
+                found[module.__name__] = blas
+                break
+    return found
 
-    SuperLU's factorizations and solves, freq_projection's gemm, ARPACK and
-    the QZ of pencil_spectrum call this library.  With its default of one
-    thread per core, it hands mid-sized kernels to a second thread that then
-    spin-waits: on a 2-core machine that thread used 0.31 CPU-s of a 0.44 s
-    MSD degree 2 technique-i call, and the call took 0.32 s without it.
-    NumPy's own OpenBLAS, which technique ii's node-sum products use to
-    advantage, is a separate library and keeps its threads.  Where no bundled
-    library is found this does nothing.  The count is one per process, so a
-    nested entry reads 1 and leaves it 1, and calls from several threads at
-    once would share it.
+
+# NumPy's OpenBLAS thread count as each open _blas_serial entry found it,
+# outermost first; _node_sum_threads restores the first.  The counts are
+# the process's, so they are kept once per process.
+_NUMPY_THREADS_OUTSIDE = []
+
+
+@contextlib.contextmanager
+def _blas_serial():
+    """Run every bundled OpenBLAS (_bundled_openblas) on the calling thread
+    alone, and restore each library's thread count on exit, also when the
+    body raises; technique ii's node-sum work is excepted
+    (_node_sum_threads).
+
+    SciPy's library serves SuperLU's factorizations and solves,
+    freq_projection's zgemm, ARPACK and the QZ of pencil_spectrum; NumPy's
+    serves Arnoldi's Gram-Schmidt dots and every @ on dense blocks.  With
+    its default of one thread per core, each hands mid-sized kernels to a
+    second thread that then spin-waits: on a 2-core machine SciPy's used
+    0.31 CPU-s of a 0.44 s MSD degree 2 technique-i call, which took 0.32 s
+    without it, and with NumPy's on one thread too the median warm
+    technique-iii call of BPF degree 2 and MSD degree 3 fell from 85 to
+    67 ms.  One thread also fixes the summation order of the dots that
+    OpenBLAS splits above 10000 elements and of its threaded GEMMs, so
+    sweep.csv does not depend on OPENBLAS_NUM_THREADS outside the node-sum
+    solves.  Where no bundled library is found this does nothing.  Nested
+    entries read 1 and leave 1; calls from several threads at once would
+    share the counts.
     """
-    blas = _scipy_openblas()
-    if blas is None:
+    libs = _bundled_openblas()
+    before = {name: get() for name, (get, _) in libs.items()}
+    _NUMPY_THREADS_OUTSIDE.append(before.get("numpy"))
+    for _, set_ in libs.values():
+        set_(1)
+    try:
+        yield
+    finally:
+        for name, (_, set_) in libs.items():
+            set_(before[name])
+        _NUMPY_THREADS_OUTSIDE.pop()
+
+
+@contextlib.contextmanager
+def _node_sum_threads():
+    """Within a _blas_serial entry, run NumPy's bundled OpenBLAS at the
+    thread count it had before the outermost entry, and restore the count
+    found on exit; outside any entry, or without that library, do nothing.
+    Re-entrant: a nested scope finds and restores the same count.
+
+    It scopes technique ii's node-sum solves (_node_sum_solver), whose GMRES
+    products with the k x m chaos values S, 21 MB at MSD degree 3's 2280
+    nodes, use a second thread to advantage: with them on one thread a cold
+    MSD degree 3 technique-ii Arnoldi took 5.1-5.7 s instead of 3.0-3.8 s
+    on a 2-core machine.  A node-sum product outside a solve
+    (Arnoldi's E v, reduce's E V) stays on one thread: NumPy's threaded GEMM
+    rounds mid-sized products such as MSD degree 2's (200 x 171)(171 x 300)
+    otherwise than one thread does, which made four of that run's 30 sweep
+    rows depend on the thread count.  MSD degree 2's solves give the same
+    bits at either count; MSD degree 3's do not, so that technique-ii run
+    still depends on it.
+    """
+    blas = _bundled_openblas().get("numpy")
+    if blas is None or not _NUMPY_THREADS_OUTSIDE:
         yield
         return
     get, set_ = blas
     before = get()
-    set_(1)
+    set_(_NUMPY_THREADS_OUTSIDE[0])
     try:
         yield
     finally:
@@ -827,6 +899,7 @@ def _node_sum_solver(K, SG, singular):
         Y = np.einsum("kab,kb->ka", X_inv, Z) * w[:, None]
         return _real_matmul(SG.T, Y).ravel()
 
+    @_node_sum_threads()
     def solve(rhs):
         rhs = np.asarray(rhs)
         b = rhs.reshape(rhs.shape[0], -1)

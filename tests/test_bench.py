@@ -12,6 +12,7 @@ import sgmor.mor
 import sgmor.stabilize
 import sgmor.systems
 from sgmor import (
+    NodeKronSum,
     RunConfig,
     arnoldi,
     build_bandpass,
@@ -640,7 +641,7 @@ def assert_same_rows(rows, reference):
 
 def uncapped_rows(cfg):
     """The sweep of cfg built from the pipeline's stages directly, outside
-    run_experiment and so with SciPy's BLAS at its own thread count."""
+    run_experiment and so with the bundled BLAS at their own thread counts."""
     (_, _, fom), _, outcome = stabilized_basis(cfg, timings={})
     rule = FrequencyRule.gauss(cfg.error_nodes, omega_scale=cfg.omega_scale)
     return [asdict(row) for row in
@@ -648,20 +649,24 @@ def uncapped_rows(cfg):
 
 
 class TestScipyBlasThreads:
-    """run_experiment and the command line run SciPy's bundled OpenBLAS on
-    one thread and give it back its thread count afterwards."""
+    """run_experiment and the command line run the OpenBLAS bundled with
+    NumPy and with SciPy on one thread, NumPy's at its outside count within
+    technique ii's node-sum solves, and give both back their thread counts
+    afterwards."""
 
     @pytest.fixture
     def threads(self):
-        blas = sgmor.systems._scipy_openblas()
-        if blas is None:
-            pytest.skip("SciPy links no bundled OpenBLAS with a known "
-                        "thread-count symbol")
-        get, set_ = blas
-        before = get()
-        set_(2)  # a count above one, so that the cap and the restore both show
-        yield get
-        set_(before)
+        """threads() reads {library: thread count}; both start at 2."""
+        libs = sgmor.systems._bundled_openblas()
+        if set(libs) != {"numpy", "scipy"}:
+            pytest.skip("NumPy or SciPy links no bundled OpenBLAS with a "
+                        "known thread-count symbol")
+        before = {name: get() for name, (get, _) in libs.items()}
+        for _, set_ in libs.values():
+            set_(2)  # a count above one, so that the cap and the restore both show
+        yield lambda: {name: get() for name, (get, _) in libs.items()}
+        for name, (_, set_) in libs.items():
+            set_(before[name])
 
     @pytest.fixture
     def during(self, threads, monkeypatch):
@@ -679,28 +684,68 @@ class TestScipyBlasThreads:
     def test_run_experiment(self, threads, during):
         run_experiment(RunConfig(model="msd", degree=1, technique="iii", r_max=3,
                                  with_errors=False))
-        assert during == [1]
-        assert threads() == 2
+        assert during == [{"numpy": 1, "scipy": 1}]
+        assert threads() == {"numpy": 2, "scipy": 2}
 
     def test_command_line(self, threads, during, tmp_path):
         assert main(["stabilize", "--model", "msd", "--technique", "iii",
                      "--rmax", "3", "--out", str(tmp_path)]) == 0
-        assert during == [1]
-        assert threads() == 2
+        assert during == [{"numpy": 1, "scipy": 1}]
+        assert threads() == {"numpy": 2, "scipy": 2}
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_node_sum_solves_run_at_the_outside_count(self, threads, during,
+                                                      monkeypatch, nested):
+        in_solves, in_products = [], []
+        gmres, matmul = sgmor.systems._gmres, NodeKronSum.__matmul__
+
+        def gmres_recording(*args):
+            in_solves.append(threads()["numpy"])
+            return gmres(*args)
+
+        def matmul_recording(self, V):
+            in_products.append(threads()["numpy"])
+            return matmul(self, V)
+
+        monkeypatch.setattr(sgmor.systems, "_gmres", gmres_recording)
+        monkeypatch.setattr(NodeKronSum, "__matmul__", matmul_recording)
+        cfg = RunConfig(model="msd", degree=1, technique="ii", r_max=3,
+                        with_errors=False)
+        if nested:
+            with sgmor.systems._blas_serial():
+                run_experiment(cfg)
+        else:
+            run_experiment(cfg)
+        assert during == [{"numpy": 1, "scipy": 1}]
+        assert in_solves and set(in_solves) == {2}
+        # the products inside GMRES run at 2, Arnoldi's and reduce's at 1
+        assert set(in_products) == {1, 2}
+        assert threads() == {"numpy": 2, "scipy": 2}
 
     def test_restored_after_a_refusal(self, threads):
         # 10 samples for the 18 chaos polynomials of degree 1
         with pytest.raises(ValueError, match="singular chaos Gram matrix"):
             run_experiment(RunConfig(model="msd", degree=1, technique="ii",
                                      quad_nodes=10, with_errors=False))
-        assert threads() == 2
+        assert threads() == {"numpy": 2, "scipy": 2}
 
     def test_without_a_bundled_library(self, monkeypatch):
         cfg = RunConfig(model="msd", degree=1, technique="i", r_max=10)
         rows = run_experiment(cfg)["rows"]
-        monkeypatch.setattr(sgmor.systems, "_scipy_openblas", lambda: None)
+        monkeypatch.setattr(sgmor.systems, "_bundled_openblas", lambda: {})
         sgmor.bench._reference.cache_clear()
         assert_same_rows(run_experiment(cfg)["rows"], rows)
+
+    def test_rows_do_not_depend_on_the_thread_count(self, threads):
+        # the node-sum solves run at the count set before the call, the rest at 1
+        cfg = RunConfig(model="msd", degree=2, technique="ii", quad_nodes=200,
+                        with_errors=False)
+        numpy_threads = sgmor.systems._bundled_openblas()["numpy"][1]
+        rows = []
+        for count in (1, 2):
+            numpy_threads(count)
+            rows.append(run_experiment(cfg)["rows"])
+        assert rows[0] == rows[1]
 
     @pytest.mark.parametrize("model, degree, technique", [
         *[("msd", d, t) for d in (1, 2) for t in ("none", "i", "ii", "iii")],

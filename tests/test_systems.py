@@ -155,6 +155,25 @@ class TestPencilSpectrum:
         assert_allclose(np.sort(spectrum.finite.real), np.sort(G_eigs.real),
                         rtol=1e-8, atol=1e-8)
 
+    @pytest.mark.parametrize("n", [2, 6, 30])
+    @pytest.mark.parametrize("singular_e", [False, True])
+    def test_bits_match_scipy_eig(self, n, singular_e):
+        rng = np.random.default_rng(n)
+        E, A = rng.standard_normal((2, n, n))
+        if singular_e:
+            E[:, -1] = 0.0  # an infinite eigenvalue
+        alpha, beta = sla.eig(A, E, right=False, homogeneous_eigvals=True)
+        tol = sgmor.systems.INFINITE_EIG_RTOL * max(np.linalg.norm(E),
+                                                     np.linalg.norm(A))
+        finite = np.abs(beta) >= tol
+        spectrum = pencil_spectrum(E, A)
+        assert spectrum.n_infinite == np.count_nonzero(~finite) >= singular_e
+        assert np.array_equal(spectrum.finite, alpha[finite] / beta[finite])
+
+    def test_nonfinite_input_rejected(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            pencil_spectrum(np.eye(2), np.diag([-1.0, np.nan]))
+
     def test_singular_pencil_rejected(self):
         E = np.diag([1.0, 0.0])
         A = np.diag([1.0, 0.0])
